@@ -105,7 +105,6 @@ class CheckContext {
 class InvariantMonitor {
  public:
   using CheckFn = std::function<void(CheckContext&)>;
-  using DeltaRouter = std::function<void(const StateDelta&)>;
 
   /// Instruments are created in `registry` (typically
   /// network.metrics().registry() so samplers see them). The monitor must
@@ -119,36 +118,22 @@ class InvariantMonitor {
 
   /// Switch to event-driven auditing: claim `bus`'s staging buffers (which
   /// arms the publishers' Active() guard) so mutations append compact PODs
-  /// there, and drain the backlog through the installers' delta routers at
-  /// the top of every scan. (If another consumer already staged, fall back
-  /// to an inline bus subscription — same routing, per-publish.) Regular
-  /// ticks then audit only dirty/watched subjects; every
-  /// `full_sweep_every_n_ticks`-th scan still audits the full universe as
-  /// a cross-check, counting any finding the incremental path would have
-  /// missed (CrossCheckMisses() must stay 0). Call before Start(); `bus`
-  /// must outlive the monitor.
+  /// there, and walk the backlog through the installers' drain handlers at
+  /// the top of every scan. Regular ticks then audit only dirty/watched
+  /// subjects; every `full_sweep_every_n_ticks`-th scan still audits the
+  /// full universe as a cross-check, counting any finding the incremental
+  /// path would have missed (CrossCheckMisses() must stay 0). A bus has one
+  /// consumer: if another monitor already claimed it, this one stays on
+  /// full scans and IncrementalEnabled() reports false. Call before
+  /// Start(); `bus` must outlive the monitor.
   void EnableIncremental(StateDeltaBus& bus,
                          std::uint32_t full_sweep_every_n_ticks = 10);
   bool IncrementalEnabled() const noexcept { return bus_ != nullptr; }
 
-  /// Register a delta-routing hook (one per installer): called for every
-  /// published delta once EnableIncremental is active, marking the
-  /// installer's per-check dirty sets. `kind_mask` (bits positioned by
-  /// DeltaKind value) limits which kinds the router is invoked for —
-  /// routing runs millions of times per run, and skipping a router by a
-  /// bit test beats entering it just to hit a switch default.
-  static constexpr std::uint32_t KindBit(DeltaKind kind) noexcept {
-    return 1u << static_cast<unsigned>(kind);
-  }
-  static constexpr std::uint32_t kAllKinds = 0xFFFFFFFFu;
-  void AddDeltaRouter(DeltaRouter router, std::uint32_t kind_mask = kAllKinds);
-
-  /// Batch alternative to a DeltaRouter for the staged drain: the handler
-  /// walks the bus's Staged*() buffer views directly, so the drain costs
-  /// two indirect calls per scan instead of one per delta. When any drain
-  /// handler is registered the staged backlog goes ONLY to drain handlers
-  /// (routers still serve the inline-subscribe fallback), so an installer
-  /// registering one must fold its router's entire per-kind logic into it.
+  /// Register a delta consumer (one per installer): once EnableIncremental
+  /// is active, every scan first calls each handler with the bus, and the
+  /// handler walks the Staged*() buffer views to mark the installer's
+  /// per-check dirty sets. The monitor clears the backlog afterwards.
   using DrainHandler = std::function<void(const StateDeltaBus&)>;
   void AddDrainHandler(DrainHandler handler);
 
@@ -236,7 +221,6 @@ class InvariantMonitor {
     ProfScopeId prof_scope = kInvalidProfScope;
   };
 
-  void RouteDelta(const StateDelta& delta);
   void DumpForensics(const Check& check, const HealthLedger::Delta& delta,
                      double now);
 
@@ -247,15 +231,8 @@ class InvariantMonitor {
   std::uint64_t scans_ = 0;
   std::uint64_t opened_total_ = 0;
   double scan_wall_ms_ = 0.0;
-  StateDeltaBus* bus_ = nullptr;
-  StateDeltaBus::SinkId sink_ = 0;
-  bool staging_ = false;  ///< Claimed the bus's staging buffers (vs sink_).
+  StateDeltaBus* bus_ = nullptr;  ///< Set once this monitor owns staging.
   std::uint32_t full_sweep_every_n_ = 10;
-  struct MaskedRouter {
-    DeltaRouter fn;
-    std::uint32_t kind_mask = kAllKinds;
-  };
-  std::vector<MaskedRouter> routers_;
   std::vector<DrainHandler> drain_handlers_;
   std::vector<std::function<void(double)>> epilogues_;
   std::uint64_t deltas_routed_ = 0;

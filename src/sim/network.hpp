@@ -39,8 +39,8 @@ constexpr std::size_t kMessageHeaderBytes = 40;
 using MsgTypeId = std::uint32_t;
 
 namespace detail {
-/// Next unused type id (atomic: bench sweeps instantiate simulators on a
-/// thread pool and may race first-use registration).
+/// Next unused type id (atomic: sim::ShardEngine workers may race
+/// first-use registration).
 MsgTypeId AllocateMsgTypeId() noexcept;
 }  // namespace detail
 
@@ -132,9 +132,10 @@ class Network {
   /// message events while enabled.
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
-  /// Mutation-delta fan-out for incremental invariant auditing. Protocol
+  /// Mutation-delta bus for incremental invariant auditing. Protocol
   /// stores publish here (guarded by Active()); the InvariantMonitor
-  /// subscribes when running in incremental mode. Inert otherwise.
+  /// claims its staging buffers when running in incremental mode. Inert
+  /// otherwise.
   obs::StateDeltaBus& delta_bus() noexcept { return delta_bus_; }
   const obs::StateDeltaBus& delta_bus() const noexcept { return delta_bus_; }
 

@@ -464,6 +464,45 @@ TEST(TrackingChecks, StaleGatewayEntryFiresThenHeals) {
   EXPECT_DOUBLE_EQ(*violations[0].cleared_ms, 30'000.0);
 }
 
+TEST(InvariantMonitor, SecondConsumerOfClaimedBusStaysOnFullScans) {
+  IndividualFixture f;
+  StateDeltaBus& bus = f.system.network().delta_bus();
+  Registry first_registry;
+  Registry second_registry;
+  InvariantMonitor first(f.system.simulator(), first_registry);
+  InvariantMonitor second(f.system.simulator(), second_registry);
+  first.EnableIncremental(bus);
+  second.EnableIncremental(bus);  // The bus has one consumer: refused.
+  EXPECT_TRUE(first.IncrementalEnabled());
+  EXPECT_FALSE(second.IncrementalEnabled());
+  InstallTrackingChecks(first, f.system, {.staleness_ms = 100.0});
+  InstallTrackingChecks(second, f.system, {.staleness_ms = 100.0});
+
+  first.RunOnce();  // Incremental mode's first scan is a full sweep.
+  second.RunOnce();
+  EXPECT_EQ(first.OpenViolations(), 0u);
+  EXPECT_EQ(second.OpenViolations(), 0u);
+
+  // Seed one corruption through a mutable accessor: the store publishes
+  // the delta, so the first monitor's next (incremental) scan finds it
+  // from its dirty set while the second finds it by scanning everything.
+  const auto object = Obj(2);
+  tracking::TrackerNode* gateway = f.system.OwnerOf(object);
+  ASSERT_NE(gateway, nullptr);
+  gateway->mutable_individual_index().Upsert(
+      object, tracking::IndexEntry{f.system.Tracker(2 % 4).Self(), 12.0});
+  first.RunOnce();
+  second.RunOnce();
+
+  EXPECT_EQ(OpenOf(first, "gateway.staleness"), 1u);
+  EXPECT_EQ(OpenOf(second, "gateway.staleness"), 1u);
+  EXPECT_EQ(first.FullSweeps(), 1u);
+  EXPECT_GT(first.DeltasRouted(), 0u);
+  EXPECT_EQ(first.CrossCheckMisses(), 0u);
+  EXPECT_EQ(second.FullSweeps(), 2u);
+  EXPECT_EQ(second.DeltasRouted(), 0u);
+}
+
 TEST(TrackingChecks, DroppedRecordFiresTriangleCoverageThenHeals) {
   IndividualFixture f;
   Registry registry;
