@@ -57,7 +57,7 @@
 // With --invariant-mode=full the obs::InvariantMonitor audits
 // ring/IOP/triangle health with a full-universe scan at a fixed sim-time
 // cadence; --invariant-mode=incremental audits only subjects marked dirty
-// by the StateDeltaBus, with every Nth scan (--full-sweep-every) promoted
+// by the mutation log, with every Nth scan (--full-sweep-every) promoted
 // to a full cross-check sweep that must find nothing the incremental path
 // missed. Overhead and verdict land in BENCH.json under "invariants":
 // overhead_fraction = periodic scan wall / total wall, per-check wall

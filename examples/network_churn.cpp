@@ -24,7 +24,7 @@
 //
 // --invariant-mode selects how phases 1 and 3 audit: `full` (default)
 // re-scans the whole world every tick, `incremental` audits only subjects
-// the StateDeltaBus marked dirty (with periodic full cross-check sweeps
+// the mutation log marked dirty (with periodic full cross-check sweeps
 // that must find nothing new), `off` skips the monitors — and with them
 // the health report and exit-code verdict.
 //

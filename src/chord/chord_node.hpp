@@ -159,7 +159,7 @@ class ChordNode final : public sim::Actor {
   }
   void MarkAlive() {
     alive_ = true;
-    PublishDelta(obs::StateDelta::Ring(obs::DeltaKind::kMembership, self_.actor));
+    PublishDelta(obs::StateDelta::Ring(obs::RecEvent::kMembership, self_.actor));
   }
 
   // --- Actor ------------------------------------------------------------
@@ -212,14 +212,14 @@ class ChordNode final : public sim::Actor {
   // successor list is its own choke point (bound in the ctor); these cover
   // liveness, predecessor, and finger mutations.
   void PublishDelta(const obs::StateDelta& delta) const {
-    obs::StateDeltaBus& bus = network_.delta_bus();
-    if (bus.Active()) bus.Publish(delta);
+    obs::FlightRecorder& log = network_.delta_bus();
+    if (log.Active()) log.Publish(delta);
   }
   void PublishMembership() const {
-    PublishDelta(obs::StateDelta::Ring(obs::DeltaKind::kMembership, self_.actor));
+    PublishDelta(obs::StateDelta::Ring(obs::RecEvent::kMembership, self_.actor));
   }
   void PublishNeighbors() const {
-    PublishDelta(obs::StateDelta::Ring(obs::DeltaKind::kRingNeighbors, self_.actor));
+    PublishDelta(obs::StateDelta::Ring(obs::RecEvent::kRingNeighbors, self_.actor));
   }
 
   sim::Network& network_;

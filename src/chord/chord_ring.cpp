@@ -89,9 +89,9 @@ void ChordRing::OracleBootstrap() {
   }
   // Every node was rewired at once: one global membership delta marks the
   // whole ring truth as changed (GrowNetwork re-bootstraps live).
-  obs::StateDeltaBus& bus = network_.delta_bus();
-  if (bus.Active()) {
-    bus.Publish(obs::StateDelta::Global(obs::DeltaKind::kMembership));
+  obs::FlightRecorder& log = network_.delta_bus();
+  if (log.Active()) {
+    log.Publish(obs::StateDelta::Global(obs::RecEvent::kMembership));
   }
 }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "chord/types.hpp"
-#include "obs/delta_bus.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace peertrack::chord {
 
@@ -47,22 +47,22 @@ class SuccessorList {
   /// Publish kRingNeighbors deltas for `actor` on every mutation.
   /// The list mutates from several protocol paths (stabilize merge,
   /// failover, leave notices), so the store is the reliable choke point.
-  void Bind(obs::StateDeltaBus* bus, std::uint32_t actor) noexcept {
-    bus_ = bus;
+  void Bind(obs::FlightRecorder* log, std::uint32_t actor) noexcept {
+    log_ = log;
     actor_ = actor;
   }
 
  private:
   void PublishChanged() const {
-    if (bus_ != nullptr && bus_->Active()) {
-      bus_->Publish(obs::StateDelta::Ring(obs::DeltaKind::kRingNeighbors, actor_));
+    if (log_ != nullptr && log_->Active()) {
+      log_->Publish(obs::StateDelta::Ring(obs::RecEvent::kRingNeighbors, actor_));
     }
   }
 
   Key owner_;
   std::size_t capacity_;
   std::vector<NodeRef> entries_;
-  obs::StateDeltaBus* bus_ = nullptr;
+  obs::FlightRecorder* log_ = nullptr;
   std::uint32_t actor_ = 0xFFFFFFFFu;
 };
 

@@ -197,7 +197,7 @@ std::vector<std::pair<hash::UInt160, std::vector<Visit>>> IopStore::ExtractAll()
   all.reserve(visits_.Size());
   for (auto& [object, list] : visits_) {
     all.emplace_back(object, std::move(list));
-    PublishTouched(obs::DeltaKind::kIopDropped, object);
+    PublishTouched(obs::RecEvent::kIopDropped, object);
   }
   visits_.Clear();
   total_visits_ = 0;

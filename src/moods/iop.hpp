@@ -19,7 +19,7 @@
 
 #include "chord/types.hpp"
 #include "moods/object.hpp"
-#include "obs/delta_bus.hpp"
+#include "obs/flight_recorder.hpp"
 #include "util/flat_hash.hpp"
 
 namespace peertrack::moods {
@@ -132,15 +132,15 @@ class IopStore {
   /// record mutates. Publishing at the store level (not the message
   /// handlers) means every writer — M2/M3 application, handoff adoption,
   /// repointing, and test corruption through mutable_iop() — is covered.
-  void Bind(obs::StateDeltaBus* bus, std::uint32_t actor) noexcept {
-    bus_ = bus;
+  void Bind(obs::FlightRecorder* log, std::uint32_t actor) noexcept {
+    log_ = log;
     actor_ = actor;
   }
 
  private:
-  void PublishTouched(obs::DeltaKind kind, const hash::UInt160& object) const {
-    if (bus_ != nullptr && bus_->Active()) {
-      bus_->Publish(obs::StateDelta::Object(kind, actor_, object));
+  void PublishTouched(obs::RecEvent kind, const hash::UInt160& object) const {
+    if (log_ != nullptr && log_->Active()) {
+      log_->Publish(obs::StateDelta::Object(kind, actor_, object));
     }
   }
 
@@ -155,12 +155,12 @@ class IopStore {
   /// the next hop's arrival); defaults to the arrival itself.
   void PublishVisitKey(const hash::UInt160& object, std::uint32_t actor,
                        Time arrived, Time gate = -1.0) const {
-    if (bus_ != nullptr && bus_->Active()) {
+    if (log_ != nullptr && log_->Active()) {
       obs::StateDelta delta =
-          obs::StateDelta::Object(obs::DeltaKind::kIopVisit, actor, object);
+          obs::StateDelta::Object(obs::RecEvent::kIopVisit, actor, object);
       delta.when = arrived;
       delta.gate = gate;
-      bus_->Publish(delta);
+      log_->Publish(delta);
     }
   }
 
@@ -170,7 +170,7 @@ class IopStore {
   // monitor's per-scan hot path (millions of probes per run).
   util::FlatHashMap<hash::UInt160, std::vector<Visit>, hash::UInt160Hasher> visits_;
   std::uint64_t total_visits_ = 0;
-  obs::StateDeltaBus* bus_ = nullptr;
+  obs::FlightRecorder* log_ = nullptr;
   std::uint32_t actor_ = 0xFFFFFFFFu;
 };
 

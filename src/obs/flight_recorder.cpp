@@ -84,10 +84,23 @@ inline void DrainFence() noexcept {
 #endif
 }
 
+/// Peer and message type of `e` (none for state records, whose union bytes
+/// carry delta fields instead).
+RecordedEvent::Counterpart CounterpartOf(const RecordedEvent& e) noexcept {
+  return IsStateEvent(e.event) ? RecordedEvent::Counterpart{} : e.msg;
+}
+
 }  // namespace
 
-void FlightRecorder::DrainBuffer(std::vector<RecordedEvent>& staged) {
+void FlightRecorder::DrainStage(Lane& lane) {
+  std::vector<RecordedEvent>& staged = lane.staged;
   if (staged.empty()) return;
+  lane.holds_state = false;
+  if (consumer_) consumer_(std::span<const RecordedEvent>(staged));
+  if (capacity_ == 0) {
+    staged.clear();
+    return;
+  }
   // The rings span ~actors * capacity records of memory, so each slot write
   // would be a dependent cache miss if appends went straight to them.
   // Batching lets a lookahead prefetch issue the slot fetches kAhead
@@ -116,35 +129,35 @@ void FlightRecorder::DrainBuffer(std::vector<RecordedEvent>& staged) {
   DrainFence();
 }
 
-void FlightRecorder::Drain() {
-  if (lanes_ == nullptr) {
-    DrainBuffer(staged_);
-    return;
+void FlightRecorder::Flush() {
+  for (Lane& lane : lanes_) DrainStage(lane);
+}
+
+void FlightRecorder::FlushAtBarrier() {
+  for (Lane& lane : lanes_) {
+    if ((consumer_ && lane.holds_state) ||
+        lane.staged.size() >= kStageCapacity) {
+      DrainStage(lane);
+    }
   }
-  // Lanes exist: the rings are shared with worker drains, so every batch
-  // serializes on the mutex (one lock per kStageCapacity appends).
-  std::lock_guard<std::mutex> lock(rings_mutex_);
-  DrainBuffer(staged_);
 }
 
-void FlightRecorder::DrainLane(LaneBuf& lane) {
-  std::lock_guard<std::mutex> lock(rings_mutex_);
-  DrainBuffer(lane.staged);
+bool FlightRecorder::Claim(Consumer consumer) {
+  if (consumer_ || !consumer) return false;
+  // The consumer sees only what is published from now on.
+  Flush();
+  consumer_ = std::move(consumer);
+  return true;
 }
 
-void FlightRecorder::FlushAll() {
-  Drain();
-  if (lanes_ == nullptr) return;
-  for (LaneBuf& lane : *lanes_) DrainLane(lane);
+void FlightRecorder::Release() {
+  consumer_ = nullptr;
+  Flush();
 }
 
 void FlightRecorder::EnableLanes(std::size_t lanes) {
-  if (lanes_ != nullptr || lanes <= 1 || capacity_ == 0) return;
-  // The seq tag has kLaneSeqBits bits; the engine caps shards well below
-  // this in practice.
-  if (lanes > (1u << kLaneSeqBits)) lanes = 1u << kLaneSeqBits;
-  lanes_ = std::make_unique<std::vector<LaneBuf>>(lanes - 1);
-  for (LaneBuf& lane : *lanes_) lane.staged.reserve(kStageCapacity);
+  if (lanes_.size() > 1 || lanes <= 1) return;
+  lanes_.resize(lanes);
   type_flags_ = std::make_unique<std::atomic<std::uint32_t>[]>(kMaxTypeIds);
   for (std::uint32_t i = 0; i < kMaxTypeIds; ++i) {
     type_flags_[i].store(0, std::memory_order_relaxed);
@@ -156,6 +169,29 @@ void FlightRecorder::EnableLanes(std::size_t lanes) {
       type_flags_[i].store(1, std::memory_order_release);
     }
   }
+}
+
+std::uint64_t FlightRecorder::LastSeq() const noexcept {
+  if (lanes_.size() == 1) return lanes_[0].seq;
+  std::uint64_t last = 0;
+  for (std::uint64_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].seq != 0) {
+      last = std::max(last, (lanes_[i].seq << kLaneSeqBits) | i);
+    }
+  }
+  return last;
+}
+
+std::uint64_t FlightRecorder::EventsRecorded() const noexcept {
+  std::uint64_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.seq;
+  return total;
+}
+
+std::uint64_t FlightRecorder::Published() const noexcept {
+  std::uint64_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.published;
+  return total;
 }
 
 void FlightRecorder::RegisterTypeNameSlow(std::uint32_t type,
@@ -174,7 +210,7 @@ void FlightRecorder::RegisterTypeNameLocked(std::uint32_t type,
 }
 
 std::size_t FlightRecorder::WindowSize(std::uint32_t actor) {
-  FlushAll();
+  Flush();
   const Ring* ring = FindRing(actor);
   if (ring == nullptr) return 0;
   return static_cast<std::size_t>(
@@ -182,7 +218,7 @@ std::size_t FlightRecorder::WindowSize(std::uint32_t actor) {
 }
 
 std::vector<RecordedEvent> FlightRecorder::Window(std::uint32_t actor) {
-  FlushAll();
+  Flush();
   std::vector<RecordedEvent> out;
   const Ring* found = FindRing(actor);
   if (found == nullptr) return out;
@@ -198,7 +234,7 @@ std::vector<RecordedEvent> FlightRecorder::Window(std::uint32_t actor) {
 ForensicBundle FlightRecorder::Collect(
     const ForensicTrigger& trigger,
     const std::vector<std::uint32_t>& implicated) {
-  FlushAll();
+  Flush();
   ForensicBundle bundle;
   bundle.trigger = trigger;
 
@@ -277,11 +313,12 @@ std::string FlightRecorder::ToJson(const ForensicBundle& bundle) const {
         "{}\n    {{\"seq\": {}, \"when_ms\": {}, \"event\": \"{}\", "
         "\"actor\": {}",
         i == 0 ? "" : ",", e.seq, e.when, RecEventName(e.event), e.actor);
-    if (e.peer != 0xFFFFFFFFu) json += util::Format(", \"peer\": {}", e.peer);
-    if (e.type != 0xFFFFFFFFu) {
-      const std::string_view name = TypeName(e.type);
+    const RecordedEvent::Counterpart to = CounterpartOf(e);
+    if (to.peer != 0xFFFFFFFFu) json += util::Format(", \"peer\": {}", to.peer);
+    if (to.type != 0xFFFFFFFFu) {
+      const std::string_view name = TypeName(to.type);
       json += util::Format(", \"type\": \"{}\"",
-                           name.empty() ? util::Format("msg#{}", e.type)
+                           name.empty() ? util::Format("msg#{}", to.type)
                                         : JsonEscape(name));
     }
     if (e.has_object) {
@@ -310,9 +347,10 @@ std::string FlightRecorder::ToPerfettoJson(const ForensicBundle& bundle) const {
     if (e.has_object) {
       args += util::Format(", \"object\": \"{}\"", e.object.ToShortHex());
     }
-    if (e.peer != 0xFFFFFFFFu) args += util::Format(", \"peer\": {}", e.peer);
-    if (e.type != 0xFFFFFFFFu) {
-      const std::string_view name = TypeName(e.type);
+    const RecordedEvent::Counterpart to = CounterpartOf(e);
+    if (to.peer != 0xFFFFFFFFu) args += util::Format(", \"peer\": {}", to.peer);
+    if (to.type != 0xFFFFFFFFu) {
+      const std::string_view name = TypeName(to.type);
       if (!name.empty()) {
         args += util::Format(", \"type\": \"{}\"", JsonEscape(name));
       }

@@ -1,45 +1,53 @@
 #pragma once
-// FlightRecorder — black-box per-actor ring buffers of protocol events.
+// FlightRecorder — the one mutation log: staged 64-byte POD records of
+// protocol events and audited state mutations.
 //
-// When the invariant monitor opens a violation, the *cause* is a sequence
-// of messages, index writes and handoffs that happened seconds of sim time
-// earlier on several actors — and by the time the scan fires, that history
-// is gone. The recorder keeps it: every protocol event (message send /
-// recv / drop per MsgTypeId, ring membership and stabilize transitions,
-// index upserts/erases, IOP link writes, replication offers/promotions,
-// handoff phases, rpc retries/timeouts) is appended as one POD record into
-// a bounded per-actor ring. The hot path pays the same discipline as
-// StateDeltaBus staging: one predictable branch at the call site plus one
-// sequential POD append into a bounded staging buffer. Distribution into
-// the per-actor rings happens in bulk when the buffer fills (or when a
-// window/bundle is requested) — per-actor ring slots are scattered across
-// ~N*capacity records of memory, so appending straight into them makes
-// nearly every record a dependent cache miss, while the batched drain
-// overlaps those misses with software prefetch. Cheap enough to leave
-// recording always on: ~13 ns/record measured end to end (append plus
-// amortized drain), ~1.5% of the canonical perf_smoke run. The wall-clock
-// A/B harness verifies the ~2% throughput contract; the perf gate's
-// obs.recorder.* attribution is the coarser always-on backstop.
+// Every structure the InvariantMonitor audits (ring neighbour pointers,
+// finger slots, IOP visit lists, gateway index buckets, replica stores) is
+// mutated at a small number of choke points. Those choke points publish a
+// StateDelta here ("Correctness of the Chord Protocol", arXiv 1709.07938:
+// the invariants are maintained by individual protocol events, so they can
+// be audited at individual protocol events too). Message send / recv /
+// drop, rpc retries/timeouts, handoff and promotion events land in the same
+// log through their Record* calls. A delta says "this subject was
+// touched", never what the new value is — consumers re-read live state —
+// so duplicate or spurious deltas are harmless, and test fixtures that
+// corrupt state through mutable_* accessors publish exactly like protocol
+// paths, because the stores themselves publish.
 //
-// On a trigger (violation opened, query failed its oracle check, harness
-// assert) the recorder dumps a *forensic bundle*: the last N events of the
-// implicated actors plus every actor whose ring mentions the subject
-// object, cross-actor merged in (sim time, seq) order, exported as
-// `peertrack.forensics.v1` JSON and as a Perfetto instant-event track.
-// The causal explainer (obs/explain.hpp) walks a bundle backward and
-// names the injected/real cause as a structured tree.
+// Hot path: one predictable branch at the call site (`Active()` for state
+// deltas, a non-null `recorder()` for the rest) plus one sequential POD
+// append into a bounded staging buffer. A drain — when the stage fills, at
+// the shard engine's window barrier, when the invariant monitor scans, and
+// before any read — hands the batch first to the one claimed consumer (the
+// monitor, which reads it by cursor and marks its dirty sets), then
+// distributes it into bounded per-actor rings for forensics. Ring slots are
+// scattered across ~N*capacity records of memory, so the batched drain
+// overlaps those cache misses instead of paying one per append. Capacity 0
+// keeps no rings: with a consumer the log still stages and feeds state
+// records, without one it is inert. The recorder's cost is reported as its
+// own increment on perfbench's layer ledger (the `recorder` layer).
+//
+// Forensics: on a trigger (violation opened, query failed its oracle
+// check, harness assert) the log dumps a *forensic bundle*: the last N
+// events of the implicated actors plus every actor whose ring mentions the
+// subject object, merged in (sim time, seq) order, exported as
+// `peertrack.forensics.v1` JSON and as a Perfetto instant-event track. The
+// causal explainer (obs/explain.hpp) walks a bundle backward and names the
+// cause as a structured tree.
 //
 // Recording is purely observational: it never schedules events, never
 // touches the RNG, and never feeds back into protocol state — a run with
 // recording on is bit-identical to one with it off (enforced by tests and
-// by the perf_smoke cross-leg determinism check). Like delta_bus.hpp this
-// header sits below sim/ — it depends only on the hash layer and the
-// profiler.
+// by the perf_smoke cross-leg determinism check). This header sits below
+// sim/ — it depends only on the hash layer and the profiler.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,27 +57,25 @@
 
 namespace peertrack::obs {
 
-/// Recorded event kinds. Values 3..15 mirror DeltaKind (same order, offset
-/// +3) so the delta bus can translate a published StateDelta with one add —
-/// static_asserts in delta_bus.hpp pin the mapping.
+/// Logged event kinds.
 enum class RecEvent : std::uint8_t {
   kMsgSend = 0,   ///< `actor` sent a message of `type` to `peer`.
   kMsgRecv = 1,   ///< `actor` had a message of `type` delivered from `peer`.
   kMsgDrop = 2,   ///< delivery to `actor` from `peer` was dropped (loss/down).
-  // --- DeltaKind mirror (value = DeltaKind + kRecStateOffset) ------------
-  kRingNeighbors = 3,
-  kRingFinger = 4,
-  kMembership = 5,
-  kIopVisit = 6,
-  kIopDropped = 7,
-  kIndexUpsert = 8,
-  kIndexErase = 9,
-  kReplicaUpsert = 10,
-  kReplicaErase = 11,
-  kObjectTruth = 12,
-  kPrefixShape = 13,
-  kLpChange = 14,
-  kHandoffFinished = 15,
+  // --- State mutations (published as StateDelta) --------------------------
+  kRingNeighbors = 3,    ///< successor / predecessor / successor-list of `actor`.
+  kRingFinger = 4,       ///< finger slot `slot` of `actor`.
+  kMembership = 5,       ///< `actor` joined / left / crashed: ring truth moved.
+  kIopVisit = 6,         ///< a visit record of `object` on `actor` was written.
+  kIopDropped = 7,       ///< `actor` dropped its visit list for `object`.
+  kIndexUpsert = 8,      ///< index entry for `object` written on `actor`.
+  kIndexErase = 9,       ///< index entry for `object` removed from `actor`.
+  kReplicaUpsert = 10,   ///< replica of `object` stored on `actor`.
+  kReplicaErase = 11,    ///< replica of `object` removed from `actor`.
+  kObjectTruth = 12,     ///< ground-truth movement of `object` (oracle).
+  kPrefixShape = 13,     ///< bucket `prefix` on `actor` created / drained.
+  kLpChange = 14,        ///< global prefix length changed.
+  kHandoffFinished = 15, ///< `actor` completed its graceful-leave handoff.
   // --- Direct protocol events (recorded at their call sites) -------------
   kHandoffBegin = 16,    ///< `actor` began its graceful leave toward `peer`.
   kReplicaPromote = 17,  ///< `actor` promoted its replica of `object`.
@@ -78,19 +84,102 @@ enum class RecEvent : std::uint8_t {
   kSuccessorFailover = 20,  ///< `actor` evicted dead successor `peer`.
 };
 
-inline constexpr std::uint8_t kRecStateOffset = 3;
+/// True for the kinds published as StateDelta (they carry no peer/type).
+constexpr bool IsStateEvent(RecEvent event) noexcept {
+  return event >= RecEvent::kRingNeighbors &&
+         event <= RecEvent::kHandoffFinished;
+}
 
 /// Stable dotted name ("msg.send", "index.upsert", ...) used in bundle
 /// JSON, Perfetto tracks and explainer evidence lines.
 const char* RecEventName(RecEvent event) noexcept;
 
-/// One recorded protocol event. POD, exactly 64 bytes (one cache line,
-/// asserted in flight_recorder.cpp so the drain's non-temporal copy stays
-/// valid); unused fields keep their defaults per event kind.
+/// One state mutation. Fields beyond `kind` are meaningful per kind (see
+/// RecEvent); unused ones stay default-initialised.
+struct StateDelta {
+  RecEvent kind = RecEvent::kMembership;
+  bool individual = false;         ///< Index deltas: flat map vs prefix bucket.
+  std::uint32_t actor = 0xFFFFFFFFu;  ///< sim::ActorId of the touched node.
+  std::uint32_t slot = 0;          ///< kRingFinger: finger index.
+  hash::UInt160 object{};          ///< Object key, where applicable.
+  hash::Prefix prefix{};           ///< Bucket prefix, where applicable.
+  /// kIopVisit: arrival time identifying the touched visit record, so the
+  /// monitor can dirty one (actor, object, arrived) visit instead of the
+  /// object's whole chain. kObjectTruth / kIndexUpsert / kReplicaUpsert:
+  /// the arrival time the new state carries, which starts its staleness
+  /// clock — the monitor defers the first audit to `when + staleness`
+  /// instead of probing an unjudgeable subject every tick. Negative =
+  /// unknown (consumer falls back to an immediate coarser mark).
+  double when = -1.0;
+  /// kIopVisit only: earliest sim time at which the new state becomes
+  /// judgeable, when that differs from the record's own arrival (a
+  /// departure write on an old visit is gated on the NEXT hop's arrival).
+  /// Negative = same as `when`.
+  double gate = -1.0;
+
+  static StateDelta Ring(RecEvent kind, std::uint32_t actor) {
+    StateDelta d;
+    d.kind = kind;
+    d.actor = actor;
+    return d;
+  }
+  static StateDelta Finger(std::uint32_t actor, std::uint32_t slot) {
+    StateDelta d;
+    d.kind = RecEvent::kRingFinger;
+    d.actor = actor;
+    d.slot = slot;
+    return d;
+  }
+  static StateDelta Object(RecEvent kind, std::uint32_t actor,
+                           const hash::UInt160& object, double when = -1.0) {
+    StateDelta d;
+    d.kind = kind;
+    d.actor = actor;
+    d.object = object;
+    d.when = when;
+    return d;
+  }
+  static StateDelta Index(RecEvent kind, std::uint32_t actor,
+                          const hash::UInt160& object, bool individual,
+                          const hash::Prefix& prefix, double when = -1.0) {
+    StateDelta d;
+    d.kind = kind;
+    d.actor = actor;
+    d.object = object;
+    d.individual = individual;
+    d.prefix = prefix;
+    d.when = when;
+    return d;
+  }
+  static StateDelta Shape(std::uint32_t actor, const hash::Prefix& prefix,
+                          bool individual) {
+    StateDelta d;
+    d.kind = RecEvent::kPrefixShape;
+    d.actor = actor;
+    d.prefix = prefix;
+    d.individual = individual;
+    return d;
+  }
+  static StateDelta Global(RecEvent kind) {
+    StateDelta d;
+    d.kind = kind;
+    return d;
+  }
+};
+
+/// One logged event. POD, exactly 64 bytes (one cache line, asserted in
+/// flight_recorder.cpp so the drain's non-temporal copy stays valid);
+/// unused fields keep their defaults per event kind.
 struct alignas(64) RecordedEvent {
+  /// Counterpart of a message or protocol event.
+  struct Counterpart {
+    std::uint32_t peer = 0xFFFFFFFFu;  ///< Counterpart actor, if any.
+    std::uint32_t type = 0xFFFFFFFFu;  ///< MsgTypeId for msg/rpc events.
+  };
+
   double when = 0.0;  ///< Sim time of the append.
-  /// Kind-specific argument. For the DeltaKind mirror this is the delta's
-  /// `when` — the arrival time the written state carries (kIndexUpsert /
+  /// Kind-specific argument. For state records this is the delta's `when`
+  /// — the arrival time the written state carries (kIndexUpsert /
   /// kReplicaUpsert / kObjectTruth / kIopVisit), which lets the explainer
   /// compare a written arrival against ground truth without re-reading
   /// live stores. Negative = not applicable.
@@ -98,10 +187,22 @@ struct alignas(64) RecordedEvent {
   std::uint64_t seq = 0;  ///< Global append order (deterministic tiebreak).
   hash::UInt160 object{};
   std::uint32_t actor = 0xFFFFFFFFu;
-  std::uint32_t peer = 0xFFFFFFFFu;  ///< Counterpart actor, where applicable.
-  std::uint32_t type = 0xFFFFFFFFu;  ///< MsgTypeId for msg/rpc events.
+  /// State records never name a counterpart, so those bytes carry the
+  /// delta field their kind needs.
+  union {
+    Counterpart msg{};          ///< Message and protocol events.
+    double gate;                ///< kIopVisit: the delta's `gate`.
+    std::uint32_t slot;         ///< kRingFinger: the finger index.
+    std::uint64_t prefix_bits;  ///< Index and shape kinds: prefix value.
+  };
   RecEvent event = RecEvent::kMsgSend;
   bool has_object = false;
+  std::uint8_t prefix_length = 0;  ///< Index and shape kinds.
+  bool individual = false;         ///< Index and shape kinds.
+
+  hash::Prefix prefix() const noexcept {
+    return hash::Prefix{prefix_bits, prefix_length};
+  }
 };
 
 /// What fired a forensic dump. `event_seq` is the recorder's LastSeq() at
@@ -134,38 +235,55 @@ class FlightRecorder {
   /// actor id, and the sentinel would otherwise force a 2^32-entry resize.
   static constexpr std::uint32_t kWorldActor = 0xFFFFFFFFu;
 
-  /// `events_per_actor` bounds each ring; 0 disables recording entirely
-  /// (every Record* returns on its first branch, nothing allocates).
-  explicit FlightRecorder(std::size_t events_per_actor)
-      : capacity_(events_per_actor) {
-    if (capacity_ > 0) staged_.reserve(kStageCapacity);
-  }
+  /// Batch consumer: sees every drained record in append order, state
+  /// records and (when rings are kept) message/protocol events alike.
+  using Consumer = std::function<void(std::span<const RecordedEvent>)>;
+
+  /// `events_per_actor` bounds each ring; 0 keeps no rings (Record* return
+  /// on their first branch, and Publish stages only for a consumer).
+  explicit FlightRecorder(std::size_t events_per_actor = 0)
+      : capacity_(events_per_actor) {}
 
   bool Enabled() const noexcept { return capacity_ > 0; }
   std::size_t Capacity() const noexcept { return capacity_; }
+  /// Start keeping per-actor rings of `events_per_actor` events. Takes
+  /// effect only while no rings are kept yet; 0 is a no-op.
+  void SetCapacity(std::size_t events_per_actor) noexcept {
+    if (capacity_ == 0) capacity_ = events_per_actor;
+  }
+
+  /// True while rings are kept or a consumer holds the claim — the
+  /// publisher-side fast-path guard:
+  ///   if (log != nullptr && log->Active()) log->Publish(...);
+  bool Active() const noexcept {
+    return capacity_ > 0 || static_cast<bool>(consumer_);
+  }
+
+  /// Take the one consumer claim: every later drain hands its batch to
+  /// `consumer` (on the coordinator thread) before filling the rings.
+  /// Records staged before the claim are flushed past it. Returns false
+  /// while another consumer holds the claim.
+  bool Claim(Consumer consumer);
+  /// Drop the claim. A released consumer is never called again: the
+  /// undrained backlog goes to the rings, or is discarded without them.
+  void Release();
 
   /// Timestamps come from `*now` at append time (the owning network binds
   /// this to its simulator's clock). Unbound records stamp 0.
-  void BindClock(const double* now) noexcept { now_ = now; }
+  void BindClock(const double* now) noexcept { lanes_[0].now = now; }
 
   /// Sharded runs: give each of `lanes` writer threads (obs/lane.hpp) a
   /// private staging buffer, local sequence counter and clock binding.
-  /// Global seq becomes (local_seq << 4) | lane — monotone per lane,
-  /// deterministic per record, comparable across lanes — so lanes must be
-  /// <= 16. Ring distribution takes a mutex per drain batch (one lock per
-  /// kStageCapacity appends); ring *retention* order for rings fed by more
-  /// than one lane (the world ring) depends on drain interleaving, which
-  /// is fine — bundles re-sort by (when, seq). Coordinator-phase only;
-  /// idempotent.
+  /// Global seq becomes (local_seq << 8) | lane — monotone per lane,
+  /// deterministic per record, comparable across lanes. Worker lanes only
+  /// append; FlushAtBarrier() drains them on the coordinator, so consumer
+  /// order and ring contents are deterministic per seed and shard count.
+  /// Coordinator-phase only; idempotent.
   void EnableLanes(std::size_t lanes);
 
-  /// Clock for a worker lane's appends (lane 0 aliases BindClock).
+  /// Clock for a lane's appends (lane 0 aliases BindClock).
   void BindLaneClock(std::uint32_t lane, const double* now) noexcept {
-    if (lane == 0) {
-      now_ = now;
-    } else if (lanes_ != nullptr && lane - 1 < lanes_->size()) {
-      (*lanes_)[lane - 1].now = now;
-    }
+    if (lane < lanes_.size()) lanes_[lane].now = now;
   }
 
   /// Remember a MsgTypeId's name for bundle export. Idempotent; the fast
@@ -191,34 +309,58 @@ class FlightRecorder {
   }
 
   // --- Hot-path appends ----------------------------------------------------
-  // Callers guard with `if (recorder != nullptr)`; a capacity-0 recorder
-  // additionally bails on its own first branch, so the disabled cost is one
-  // predictable branch either way. Leaf profiler scope: these fire once per
-  // protocol event (millions per run) and open no scopes of their own.
+  // Leaf profiler scope: these fire once per protocol event (millions per
+  // run) and open no scopes of their own. The drain-when-full check runs
+  // BEFORE the scope opens: a drain landing inside a sampled append window
+  // would bill its whole batch to one append and get scaled by the
+  // sampling weight — the drain carries its own PROF_SCOPE instead.
+
+  /// State mutation: one append while Active(). Publishers guard with
+  /// Active(), so inert runs never reach this.
+  void Publish(const StateDelta& delta) {
+    const std::uint32_t lane = WriterLane();
+    ++lanes_[lane].published;
+    if (!Active()) return;
+    MaybeDrain(lane);
+    PROF_LEAF_SCOPE("obs.recorder", "append");
+    RecordedEvent& e = Append(lane, delta.actor);
+    lanes_[lane].holds_state = true;
+    e.event = delta.kind;
+    e.object = delta.object;
+    e.has_object = delta.kind >= RecEvent::kIopVisit &&
+                   delta.kind <= RecEvent::kObjectTruth;
+    e.arg = delta.when;
+    switch (delta.kind) {
+      case RecEvent::kIopVisit:
+        e.gate = delta.gate;
+        break;
+      case RecEvent::kRingFinger:
+        e.slot = delta.slot;
+        break;
+      case RecEvent::kIndexUpsert:
+      case RecEvent::kIndexErase:
+      case RecEvent::kPrefixShape:
+        e.prefix_bits = delta.prefix.bits;
+        e.prefix_length = static_cast<std::uint8_t>(delta.prefix.length);
+        e.individual = delta.individual;
+        break;
+      default:
+        break;
+    }
+  }
+
+  // Message and protocol events: callers guard with a non-null
+  // Network::recorder(); a ring-less log also bails on its first branch.
 
   void RecordMessage(RecEvent event, std::uint32_t actor, std::uint32_t peer,
                      std::uint32_t type) {
     if (capacity_ == 0) return;
-    MaybeDrain();
+    const std::uint32_t lane = WriterLane();
+    MaybeDrain(lane);
     PROF_LEAF_SCOPE("obs.recorder", "append");
-    RecordedEvent& e = Append(actor);
+    RecordedEvent& e = Append(lane, actor);
     e.event = event;
-    e.peer = peer;
-    e.type = type;
-  }
-
-  /// StateDelta mirror: `kind` is the raw DeltaKind value (translated by
-  /// fixed offset), `arg` the delta's `when` field.
-  void RecordState(std::uint8_t kind, std::uint32_t actor,
-                   const hash::UInt160& object, bool has_object, double arg) {
-    if (capacity_ == 0) return;
-    MaybeDrain();
-    PROF_LEAF_SCOPE("obs.recorder", "append");
-    RecordedEvent& e = Append(actor);
-    e.event = static_cast<RecEvent>(kind + kRecStateOffset);
-    e.object = object;
-    e.has_object = has_object;
-    e.arg = arg;
+    e.msg = {peer, type};
   }
 
   /// Direct protocol events (handoff begin, replica promotion, rpc
@@ -227,44 +369,40 @@ class FlightRecorder {
                       const hash::UInt160& object, bool has_object,
                       std::uint32_t type = 0xFFFFFFFFu) {
     if (capacity_ == 0) return;
-    MaybeDrain();
+    const std::uint32_t lane = WriterLane();
+    MaybeDrain(lane);
     PROF_LEAF_SCOPE("obs.recorder", "append");
-    RecordedEvent& e = Append(actor);
+    RecordedEvent& e = Append(lane, actor);
     e.event = event;
-    e.peer = peer;
+    e.msg = {peer, type};
     e.object = object;
     e.has_object = has_object;
-    e.type = type;
   }
+
+  /// Drain every lane in lane order: consumer first, then rings.
+  /// Coordinator-phase only (workers parked).
+  void Flush();
+  /// The shard engine's barrier hook (workers parked). Drains, in lane
+  /// order, every lane holding state records while a consumer is claimed —
+  /// so the consumer sees each actor's mutations in publish order whether
+  /// they ran on its shard or on the coordinator — and any lane whose
+  /// stage is full. Other lanes keep staging: a window of queries then
+  /// costs no drain, and ring contents stay deterministic because whether
+  /// a lane drains depends only on what it staged.
+  void FlushAtBarrier();
 
   // --- Introspection --------------------------------------------------------
 
   /// Seq of the newest event (coordinator-phase read when sharded).
-  std::uint64_t LastSeq() const noexcept {
-    if (lanes_ == nullptr) return seq_;
-    std::uint64_t last = seq_ << kLaneSeqBits;
-    for (std::size_t i = 0; i < lanes_->size(); ++i) {
-      const std::uint64_t s = (*lanes_)[i].seq;
-      if (s != 0) {
-        const std::uint64_t tagged =
-            (s << kLaneSeqBits) | static_cast<std::uint64_t>(i + 1);
-        if (tagged > last) last = tagged;
-      }
-    }
-    return last;
-  }
+  std::uint64_t LastSeq() const noexcept;
   /// Total events ever appended (all lanes).
-  std::uint64_t EventsRecorded() const noexcept {
-    std::uint64_t total = seq_;
-    if (lanes_ != nullptr) {
-      for (const LaneBuf& lb : *lanes_) total += lb.seq;
-    }
-    return total;
-  }
+  std::uint64_t EventsRecorded() const noexcept;
+  /// Total Publish calls (all lanes), whether or not anything was staged.
+  std::uint64_t Published() const noexcept;
   /// Actors with at least one ring slot allocated.
   std::size_t ActorRings() const noexcept { return rings_.size(); }
   /// Events currently retained for `actor` (<= capacity). Non-const: the
-  /// read side flushes the staging buffer into the rings first.
+  /// read side flushes the staging buffers first.
   std::size_t WindowSize(std::uint32_t actor);
   /// `actor`'s retained events, oldest first.
   std::vector<RecordedEvent> Window(std::uint32_t actor);
@@ -275,7 +413,7 @@ class FlightRecorder {
   /// actor whose ring mentions `trigger.object` (when the trigger carries
   /// one — "every actor holding state for the subject key", including past
   /// holders whose state already moved on). Events merge ascending by
-  /// (when, seq). Non-const: flushes the staging buffer into the rings.
+  /// (when, seq). Non-const: flushes the staging buffers first.
   ForensicBundle Collect(const ForensicTrigger& trigger,
                          const std::vector<std::uint32_t>& implicated);
 
@@ -296,11 +434,25 @@ class FlightRecorder {
   /// small enough to stay cache-resident, large enough that the drain's
   /// scattered ring writes amortize and overlap under prefetch.
   static constexpr std::size_t kStageCapacity = 4096;
+  /// Max dense MsgTypeId covered by the sharded type-name fast path.
+  static constexpr std::uint32_t kMaxTypeIds = 4096;
+  /// Lane tag bits in a sharded seq: seq = (local << 8) | lane.
+  static constexpr unsigned kLaneSeqBits = 8;
 
   struct Ring {
     std::vector<RecordedEvent> slots;  ///< Sized to capacity on first use.
     std::uint64_t appended = 0;
     std::size_t head = 0;  ///< == appended % capacity; avoids a div per drain.
+  };
+
+  /// One writer lane's append state. Lane 0 is the coordinator (and the
+  /// only lane un-sharded); lanes 1..L-1 are shard workers.
+  struct Lane {
+    std::vector<RecordedEvent> staged;
+    std::uint64_t seq = 0;
+    std::uint64_t published = 0;
+    const double* now = nullptr;
+    bool holds_state = false;  ///< A state record is staged.
   };
 
   Ring& RingFor(std::uint32_t actor) {
@@ -321,85 +473,49 @@ class FlightRecorder {
     return &rings_[actor];
   }
 
-  /// Max dense MsgTypeId covered by the sharded type-name fast path.
-  static constexpr std::uint32_t kMaxTypeIds = 4096;
-  /// Lane tag bits in a sharded seq: seq = (local << 4) | lane.
-  static constexpr unsigned kLaneSeqBits = 4;
-
-  /// One worker lane's private append state (lanes 1..L-1; lane 0 uses the
-  /// legacy members directly so the un-sharded path is untouched).
-  struct LaneBuf {
-    std::vector<RecordedEvent> staged;
-    std::uint64_t seq = 0;
-    const double* now = nullptr;
-  };
-
-  LaneBuf* ActiveLane() noexcept {
-    if (lanes_ == nullptr) return nullptr;
-    const std::uint32_t lane = CurrentLane();
-    return lane == 0 ? nullptr : &(*lanes_)[lane - 1];
+  /// Lane the calling thread appends to (always 0 un-sharded).
+  std::uint32_t WriterLane() const noexcept {
+    return lanes_.size() == 1 ? 0 : CurrentLane();
   }
 
-  /// Flush the staging buffer when full. Called BEFORE the caller's leaf
-  /// profiler scope opens: a drain landing inside a sampled append window
-  /// would bill its whole batch to one append and get scaled by the
-  /// sampling weight — the drain carries its own PROF_SCOPE instead.
-  void MaybeDrain() {
-    LaneBuf* lb = ActiveLane();
-    if (lb != nullptr) {
-      if (lb->staged.size() == kStageCapacity) DrainLane(*lb);
-      return;
+  /// Drain lane 0's stage when full. Worker lanes never drain: their
+  /// buffers grow within a window and the barrier flush empties them, so
+  /// the consumer never runs on a worker thread.
+  void MaybeDrain(std::uint32_t lane) {
+    if (lane == 0 && lanes_[0].staged.size() >= kStageCapacity) {
+      DrainStage(lanes_[0]);
     }
-    if (staged_.size() == kStageCapacity) Drain();
   }
 
-  /// Hot path: one sequential POD append into the (reserved, so never
-  /// reallocating) staging buffer. The returned reference stays valid until
-  /// the next Append — callers fill the kind-specific fields immediately.
-  RecordedEvent& Append(std::uint32_t actor) {
-    LaneBuf* lb = ActiveLane();
-    if (lb != nullptr) {
-      lb->staged.emplace_back();
-      RecordedEvent& e = lb->staged.back();
-      e.when = lb->now != nullptr ? *lb->now : 0.0;
-      e.seq = (++lb->seq << kLaneSeqBits) |
-              static_cast<std::uint64_t>(CurrentLane());
-      e.actor = actor;
-      return e;
-    }
-    staged_.emplace_back();
-    RecordedEvent& e = staged_.back();
-    e.when = now_ != nullptr ? *now_ : 0.0;
-    ++seq_;
-    e.seq = lanes_ == nullptr ? seq_ : seq_ << kLaneSeqBits;
+  /// Hot path: one sequential POD append into the lane's staging buffer
+  /// (it grows to the stage size once, then keeps its capacity).
+  /// The returned reference stays valid until the next Append — callers
+  /// fill the kind-specific fields immediately.
+  RecordedEvent& Append(std::uint32_t lane, std::uint32_t actor) {
+    Lane& lb = lanes_[lane];
+    RecordedEvent& e = lb.staged.emplace_back();
+    e.when = lb.now != nullptr ? *lb.now : 0.0;
+    ++lb.seq;
+    e.seq = lanes_.size() == 1 ? lb.seq : (lb.seq << kLaneSeqBits) | lane;
     e.actor = actor;
     return e;
   }
 
-  /// Bulk-distribute the staging buffer into the per-actor rings.
-  void Drain();
-  /// Same for a worker lane's buffer (ring access under rings_mutex_).
-  void DrainLane(LaneBuf& lane);
-  /// Shared drain core; the caller holds rings_mutex_ when lanes exist.
-  void DrainBuffer(std::vector<RecordedEvent>& staged);
-  /// Drain every lane's buffer (read side; coordinator phase only).
-  void FlushAll();
+  /// Hand `lane`'s stage to the consumer, then distribute it into the
+  /// rings.
+  void DrainStage(Lane& lane);
   void Grow(std::uint32_t actor);
   void RegisterTypeNameSlow(std::uint32_t type, std::string_view name);
   void RegisterTypeNameLocked(std::uint32_t type, std::string_view name);
 
   std::size_t capacity_ = 0;
-  const double* now_ = nullptr;
-  std::uint64_t seq_ = 0;
+  Consumer consumer_;
+  std::vector<Lane> lanes_ = std::vector<Lane>(1);
   std::vector<Ring> rings_;
   Ring world_;  ///< kWorldActor's ring (oracle ground-truth events).
-  std::vector<RecordedEvent> staged_;  ///< Appends awaiting distribution.
   std::vector<std::string> type_names_;
-  /// Worker-lane append state (null when un-sharded).
-  std::unique_ptr<std::vector<LaneBuf>> lanes_;
   /// Per-type "name registered" flags backing the sharded fast path.
   std::unique_ptr<std::atomic<std::uint32_t>[]> type_flags_;
-  std::mutex rings_mutex_;  ///< Guards rings once lanes exist.
   std::mutex names_mutex_;  ///< Guards type_names_ once lanes exist.
 };
 

@@ -33,18 +33,28 @@ InvariantMonitor::InvariantMonitor(sim::Simulator& simulator, Registry& registry
       repair_all_(registry.GetHistogram("invariant.repair_ms")) {}
 
 InvariantMonitor::~InvariantMonitor() {
-  if (bus_ != nullptr) bus_->EndStaging();
+  if (log_ != nullptr) log_->Release();
 }
 
-void InvariantMonitor::EnableIncremental(StateDeltaBus& bus,
+void InvariantMonitor::EnableIncremental(FlightRecorder& log,
                                          std::uint32_t full_sweep_every_n_ticks) {
-  if (bus_ != nullptr) return;  // Already incremental; keep the first bus.
-  // Claim the bus's staging buffers, so the mutation hot path only appends
-  // PODs and the backlog drains in one batch at the top of each scan. A
-  // bus already claimed by another consumer leaves this monitor on full
-  // scans.
-  if (!bus.BeginStaging()) return;
-  bus_ = &bus;
+  if (log_ != nullptr) return;  // Already incremental; keep the first log.
+  // Take the log's consumer claim, so the mutation hot path only appends
+  // PODs and each drained batch routes into the installers' mark sets. A
+  // log already claimed by another consumer leaves this monitor on full
+  // scans. Draining is monitor overhead wherever it happens, so its wall
+  // counts against overhead_fraction.
+  const bool claimed = log.Claim([this](std::span<const RecordedEvent> batch) {
+    PROF_SCOPE("invariant", "stage_drain");
+    const auto start = std::chrono::steady_clock::now();
+    for (const DrainHandler& handler : drain_handlers_) handler(batch);
+    scan_wall_ms_ += std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  });
+  if (!claimed) return;
+  log_ = &log;
+  published_at_claim_ = log.Published();
   full_sweep_every_n_ = std::max<std::uint32_t>(full_sweep_every_n_ticks, 1);
 }
 
@@ -79,18 +89,15 @@ void InvariantMonitor::Start(double period_ms, double until_ms) {
 
 void InvariantMonitor::RunOnce(bool force_full_sweep) {
   PROF_SCOPE("invariant", "scan");
+  if (log_ != nullptr) {
+    // Hand the staged backlog to the drain handlers before judging (the
+    // consumer bills its own wall to scan_wall_ms_).
+    log_->Flush();
+    deltas_routed_ = log_->Published() - published_at_claim_;
+  }
   const auto wall_start = std::chrono::steady_clock::now();
   const double now = simulator_.Now();
-  if (bus_ != nullptr && bus_->StagedCount() > 0) {
-    // Route the staged mutation backlog into the installers' mark sets in
-    // one batch. Inside wall_start on purpose: draining is monitor
-    // overhead and must count against overhead_fraction.
-    PROF_SCOPE("invariant", "stage_drain");
-    deltas_routed_ += bus_->StagedCount();
-    for (const DrainHandler& handler : drain_handlers_) handler(*bus_);
-    bus_->ClearStaged();
-  }
-  const bool incremental = bus_ != nullptr;
+  const bool incremental = log_ != nullptr;
   const bool full_pass = !incremental || force_full_sweep ||
                          scans_ % full_sweep_every_n_ == 0;
   if (full_pass) ++full_sweeps_;
@@ -190,7 +197,7 @@ HealthReport InvariantMonitor::Report() const {
   HealthReport report;
   report.generated_at_ms = simulator_.Now();
   report.scans = scans_;
-  report.incremental = bus_ != nullptr;
+  report.incremental = log_ != nullptr;
   report.full_sweeps = full_sweeps_;
   report.deltas_routed = deltas_routed_;
   report.scan_wall_ms = scan_wall_ms_;
@@ -712,21 +719,26 @@ void InstallRingChecks(InvariantMonitor& monitor, const chord::ChordRing& ring,
 
   // One drain handler for the whole installer. Membership changes move
   // the ground-truth ring every check compares against, so they dirty every
-  // node; pointer/finger writes dirty only the writer. Membership movement
-  // first — its MarkAll dominates, and Mark() is a no-op afterwards, so the
-  // pointer and finger loops can be skipped outright.
-  monitor.AddDrainHandler([neighbor_marks,
-                           finger_marks](const StateDeltaBus& bus) {
-    if (!bus.StagedMembership().empty() || !bus.StagedHandoffs().empty()) {
-      neighbor_marks->MarkAll();
-      finger_marks->MarkAll();
-      return;
-    }
-    for (const std::uint32_t actor : bus.StagedNeighbors()) {
-      neighbor_marks->Mark(actor);
-    }
-    for (const StateDeltaBus::StagedFinger& finger : bus.StagedFingers()) {
-      finger_marks->Mark(finger.actor);
+  // node; pointer/finger writes dirty only the writer (Mark() is a no-op
+  // once MarkAll has run, so record order within a batch does not matter).
+  monitor.AddDrainHandler([neighbor_marks, finger_marks](
+                              std::span<const RecordedEvent> batch) {
+    for (const RecordedEvent& e : batch) {
+      switch (e.event) {
+        case RecEvent::kMembership:
+        case RecEvent::kHandoffFinished:
+          neighbor_marks->MarkAll();
+          finger_marks->MarkAll();
+          break;
+        case RecEvent::kRingNeighbors:
+          neighbor_marks->Mark(e.actor);
+          break;
+        case RecEvent::kRingFinger:
+          finger_marks->Mark(e.actor);
+          break;
+        default:
+          break;
+      }
     }
   });
   monitor.AddScanEpilogue([neighbor_marks, finger_marks](double now) {
@@ -1429,38 +1441,39 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
 
   // One drain handler for the whole installer: marks the shared dirty sets
   // and keeps the site mirror fresh between full rebuilds. It inserts each
-  // key into ONE shared set per key space, not one per check, and walks
-  // each staged buffer in a tight loop. Two properties make this cheap:
-  // (a) MarkAll-dominant kinds run first, so once a key space is flat its
-  // fine-grain loop is skipped outright (the index stream still walks
-  // regardless — mirror maintenance is unconditional); (b) a write group
-  // publishes its per-prefix upserts back to back, so same-object records
-  // are adjacent within a stream and the MarkSet memos swallow the
+  // key into ONE shared set per key space, not one per check, in one pass
+  // over the batch. Mark order within a batch does not matter (MarkAll
+  // dominates, Defer min-merges, Mark is idempotent) except for the index
+  // upsert/erase stream, which the site mirror applies in publish order. A
+  // write group publishes its per-prefix upserts back to back, so
+  // same-object records are adjacent and the MarkSet memos swallow the
   // duplicate Defer probes.
-  monitor.AddDrainHandler([state, visit_marks, object_marks,
-                           shape_marks](const StateDeltaBus& bus) {
-    if (!bus.StagedHandoffs().empty()) state->departed_any = true;
-    // The alive set is part of every tracking check's ground truth (site
-    // sweeps skip dead nodes, replication re-derives successors), so
-    // membership movement re-judges everything. Rare by construction: only
-    // churn events publish these.
-    if (!bus.StagedMembership().empty() || !bus.StagedHandoffs().empty()) {
-      visit_marks->MarkAll();
-      object_marks->MarkAll();
-      shape_marks->MarkAll();
-    }
-    if (bus.StagedLpChanges() > 0) shape_marks->MarkAll();
-    // Graceful-leave extraction moves visit lists wholesale; the adopter
-    // republishes per record, but the extracted records must be re-judged
-    // away too.
-    if (!bus.StagedDropped().empty()) visit_marks->MarkAll();
-
-    // Each loop prefetches the map lines a few records ahead: the staged
-    // buffers stream sequentially, so the (random) mark/mirror probe for
-    // record i+k warms while records i..i+k-1 do real work.
+  monitor.AddDrainHandler([state, visit_marks, object_marks, shape_marks](
+                              std::span<const RecordedEvent> batch) {
+    // Prefetch the map lines a few records ahead: the batch streams
+    // sequentially, so the (random) mark/mirror probe for record i+k warms
+    // while records i..i+k-1 do real work.
     constexpr std::size_t kAhead = 8;
-    const auto& index_stream = bus.StagedIndexStream();
-    const bool objects_flat = object_marks->all;
+    const auto prefetch = [&](const RecordedEvent& n) {
+      switch (n.event) {
+        case RecEvent::kIndexUpsert:
+        case RecEvent::kIndexErase:
+          state->sites.Prefetch(n.object);
+          [[fallthrough]];
+        case RecEvent::kReplicaUpsert:
+        case RecEvent::kReplicaErase:
+        case RecEvent::kObjectTruth:
+          if (!object_marks->all) object_marks->deferred.Prefetch(n.object);
+          break;
+        case RecEvent::kIopVisit:
+          if (!visit_marks->all) {
+            visit_marks->deferred.Prefetch(VisitKey{n.object, n.actor, n.arg});
+          }
+          break;
+        default:
+          break;
+      }
+    };
     // One-record site-list memo: a write group publishes its per-prefix
     // upserts back to back, so ~3/4 of the mirror probes hit the object of
     // the record just processed. The cached vector pointer stays valid
@@ -1469,96 +1482,98 @@ void InstallTrackingChecks(InvariantMonitor& monitor,
     // operator[] insert refreshes it from the post-rehash slot.
     hash::UInt160 memo_object{};
     std::vector<SiteLoc>* memo_locs = nullptr;
-    for (std::size_t i = 0; i < index_stream.size(); ++i) {
-      if (i + kAhead < index_stream.size()) {
-        const StateDeltaBus::StagedIndex& n = index_stream[i + kAhead];
-        state->sites.Prefetch(n.object);
-        if (!objects_flat) object_marks->deferred.Prefetch(n.object);
-      }
-      const StateDeltaBus::StagedIndex& s = index_stream[i];
-      if (s.erase) {
-        std::vector<SiteLoc>* locs =
-            (memo_locs != nullptr && s.object == memo_object)
-                ? memo_locs
-                : state->sites.Find(s.object);
-        if (locs != nullptr) {
-          std::erase(*locs, SiteLoc{s.actor, s.individual, s.prefix});
-          if (locs->empty()) {
-            state->sites.Erase(s.object);
-            locs = nullptr;
-          }
-        }
-        memo_object = s.object;
-        memo_locs = locs;
-        object_marks->Mark(s.object);
-      } else {
-        std::vector<SiteLoc>* locs =
-            (memo_locs != nullptr && s.object == memo_object)
-                ? memo_locs
-                : &state->sites[s.object];
-        AddUniqueLoc(*locs, SiteLoc{s.actor, s.individual, s.prefix});
-        memo_object = s.object;
-        memo_locs = locs;
-        if (s.when >= 0.0) {
-          object_marks->Defer(s.object, s.when);
-        } else {
-          object_marks->Mark(s.object);
-        }
-      }
-      shape_marks->Mark(s.actor);
-    }
-    // Replica upserts and truths carry the arrival that starts the settle
-    // clock: every object-grain check's own pending logic would return
-    // exactly `when + staleness` for this state, so park the audit there.
-    if (!object_marks->all) {
-      const auto& replicas = bus.StagedReplicas();
-      for (std::size_t i = 0; i < replicas.size(); ++i) {
-        if (i + kAhead < replicas.size()) {
-          object_marks->deferred.Prefetch(replicas[i + kAhead].object);
-        }
-        const StateDeltaBus::StagedObject& s = replicas[i];
-        if (s.erase || s.when < 0.0) {
-          object_marks->Mark(s.object);
-        } else {
-          object_marks->Defer(s.object, s.when);
-        }
-      }
-      const auto& truths = bus.StagedTruths();
-      for (std::size_t i = 0; i < truths.size(); ++i) {
-        if (i + kAhead < truths.size()) {
-          object_marks->deferred.Prefetch(truths[i + kAhead].object);
-        }
-        const StateDeltaBus::StagedObject& s = truths[i];
-        if (s.when >= 0.0) {
-          object_marks->Defer(s.object, s.when);
-        } else {
-          object_marks->Mark(s.object);
-        }
-      }
-    }
-    if (!visit_marks->all) {
-      const auto& visits = bus.StagedVisits();
-      for (std::size_t i = 0; i < visits.size(); ++i) {
-        if (i + kAhead < visits.size()) {
-          const StateDeltaBus::StagedVisit& n = visits[i + kAhead];
-          visit_marks->deferred.Prefetch(VisitKey{n.object, n.actor, n.when});
-        }
-        const StateDeltaBus::StagedVisit& s = visits[i];
-        // A write is judgeable once its gate settles (the record's own
-        // arrival, or the next hop's arrival for a departure write); a
-        // coarse publish re-judges every record.
-        if (s.when >= 0.0) {
-          visit_marks->Defer(VisitKey{s.object, s.actor, s.when},
-                             s.gate >= 0.0 ? s.gate : s.when);
-        } else {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (i + kAhead < batch.size()) prefetch(batch[i + kAhead]);
+      const RecordedEvent& e = batch[i];
+      switch (e.event) {
+        case RecEvent::kHandoffFinished:
+          state->departed_any = true;
+          [[fallthrough]];
+        case RecEvent::kMembership:
+          // The alive set is part of every tracking check's ground truth
+          // (site sweeps skip dead nodes, replication re-derives
+          // successors), so membership movement re-judges everything. Rare
+          // by construction: only churn events publish these.
+          visit_marks->MarkAll();
+          object_marks->MarkAll();
+          shape_marks->MarkAll();
+          break;
+        case RecEvent::kLpChange:
+          shape_marks->MarkAll();
+          break;
+        case RecEvent::kIopDropped:
+          // Graceful-leave extraction moves visit lists wholesale; the
+          // adopter republishes per record, but the extracted records must
+          // be re-judged away too.
           visit_marks->MarkAll();
           break;
+        case RecEvent::kIndexErase: {
+          // Mirror maintenance is unconditional, even once a key space is
+          // flat.
+          std::vector<SiteLoc>* locs =
+              (memo_locs != nullptr && e.object == memo_object)
+                  ? memo_locs
+                  : state->sites.Find(e.object);
+          if (locs != nullptr) {
+            std::erase(*locs, SiteLoc{e.actor, e.individual, e.prefix()});
+            if (locs->empty()) {
+              state->sites.Erase(e.object);
+              locs = nullptr;
+            }
+          }
+          memo_object = e.object;
+          memo_locs = locs;
+          object_marks->Mark(e.object);
+          shape_marks->Mark(e.actor);
+          break;
         }
-      }
-    }
-    if (!shape_marks->all) {
-      for (const StateDeltaBus::StagedShape& s : bus.StagedShapes()) {
-        shape_marks->Mark(s.actor);
+        case RecEvent::kIndexUpsert: {
+          std::vector<SiteLoc>* locs =
+              (memo_locs != nullptr && e.object == memo_object)
+                  ? memo_locs
+                  : &state->sites[e.object];
+          AddUniqueLoc(*locs, SiteLoc{e.actor, e.individual, e.prefix()});
+          memo_object = e.object;
+          memo_locs = locs;
+          if (e.arg >= 0.0) {
+            object_marks->Defer(e.object, e.arg);
+          } else {
+            object_marks->Mark(e.object);
+          }
+          shape_marks->Mark(e.actor);
+          break;
+        }
+        case RecEvent::kReplicaUpsert:
+        case RecEvent::kObjectTruth:
+          // Replica upserts and truths carry the arrival that starts the
+          // settle clock: every object-grain check's own pending logic
+          // would return exactly `when + staleness` for this state, so
+          // park the audit there.
+          if (e.arg >= 0.0) {
+            object_marks->Defer(e.object, e.arg);
+          } else {
+            object_marks->Mark(e.object);
+          }
+          break;
+        case RecEvent::kReplicaErase:
+          object_marks->Mark(e.object);
+          break;
+        case RecEvent::kIopVisit:
+          // A write is judgeable once its gate settles (the record's own
+          // arrival, or the next hop's arrival for a departure write); a
+          // coarse publish re-judges every record.
+          if (e.arg >= 0.0) {
+            visit_marks->Defer(VisitKey{e.object, e.actor, e.arg},
+                               e.gate >= 0.0 ? e.gate : e.arg);
+          } else {
+            visit_marks->MarkAll();
+          }
+          break;
+        case RecEvent::kPrefixShape:
+          shape_marks->Mark(e.actor);
+          break;
+        default:
+          break;
       }
     }
   });

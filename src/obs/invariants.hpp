@@ -26,10 +26,10 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "obs/delta_bus.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/health.hpp"
 #include "obs/profiler.hpp"
@@ -116,25 +116,26 @@ class InvariantMonitor {
   InvariantMonitor(const InvariantMonitor&) = delete;
   InvariantMonitor& operator=(const InvariantMonitor&) = delete;
 
-  /// Switch to event-driven auditing: claim `bus`'s staging buffers (which
-  /// arms the publishers' Active() guard) so mutations append compact PODs
-  /// there, and walk the backlog through the installers' drain handlers at
-  /// the top of every scan. Regular ticks then audit only dirty/watched
+  /// Switch to event-driven auditing: take `log`'s consumer claim (which
+  /// arms the publishers' Active() guard), so every drain of the log hands
+  /// its batch to the installers' drain handlers, which mark their
+  /// per-check dirty sets. Regular ticks then audit only dirty/watched
   /// subjects; every `full_sweep_every_n_ticks`-th scan still audits the
   /// full universe as a cross-check, counting any finding the incremental
-  /// path would have missed (CrossCheckMisses() must stay 0). A bus has one
+  /// path would have missed (CrossCheckMisses() must stay 0). A log has one
   /// consumer: if another monitor already claimed it, this one stays on
   /// full scans and IncrementalEnabled() reports false. Call before
-  /// Start(); `bus` must outlive the monitor.
-  void EnableIncremental(StateDeltaBus& bus,
+  /// Start(); `log` must outlive the monitor.
+  void EnableIncremental(FlightRecorder& log,
                          std::uint32_t full_sweep_every_n_ticks = 10);
-  bool IncrementalEnabled() const noexcept { return bus_ != nullptr; }
+  bool IncrementalEnabled() const noexcept { return log_ != nullptr; }
 
   /// Register a delta consumer (one per installer): once EnableIncremental
-  /// is active, every scan first calls each handler with the bus, and the
-  /// handler walks the Staged*() buffer views to mark the installer's
-  /// per-check dirty sets. The monitor clears the backlog afterwards.
-  using DrainHandler = std::function<void(const StateDeltaBus&)>;
+  /// is active, each drained batch of the log is handed to every handler,
+  /// which switches on RecEvent to mark the installer's dirty sets. Batches
+  /// arrive in publish order; every record published before a scan has
+  /// been handed over when the scan starts.
+  using DrainHandler = std::function<void(std::span<const RecordedEvent>)>;
   void AddDrainHandler(DrainHandler handler);
 
   /// Register a hook that runs after every scan, once all checks have run,
@@ -191,12 +192,14 @@ class InvariantMonitor {
   std::uint64_t ScansRun() const noexcept { return scans_; }
   std::size_t OpenViolations() const noexcept { return ledger_.OpenCount(); }
   std::size_t ViolationsOpened() const noexcept { return opened_total_; }
-  /// Cumulative host wall-clock spent inside RunOnce — the monitor's
-  /// overhead (informational; never fed back into the simulation).
+  /// Cumulative host wall-clock spent inside RunOnce and in the drain
+  /// handlers — the monitor's overhead (informational; never fed back into
+  /// the simulation).
   double ScanWallMs() const noexcept { return scan_wall_ms_; }
   /// Scans that ran as full-universe sweeps (== ScansRun() in full mode).
   std::uint64_t FullSweeps() const noexcept { return full_sweeps_; }
-  /// Deltas routed to dirty sets since EnableIncremental.
+  /// Deltas routed to dirty sets since EnableIncremental (as of the last
+  /// scan).
   std::uint64_t DeltasRouted() const noexcept { return deltas_routed_; }
   /// Total cross-check misses across checks (see CheckContext).
   std::uint64_t CrossCheckMisses() const noexcept { return cross_check_misses_; }
@@ -231,7 +234,8 @@ class InvariantMonitor {
   std::uint64_t scans_ = 0;
   std::uint64_t opened_total_ = 0;
   double scan_wall_ms_ = 0.0;
-  StateDeltaBus* bus_ = nullptr;  ///< Set once this monitor owns staging.
+  FlightRecorder* log_ = nullptr;  ///< Set once this monitor holds the claim.
+  std::uint64_t published_at_claim_ = 0;
   std::uint32_t full_sweep_every_n_ = 10;
   std::vector<DrainHandler> drain_handlers_;
   std::vector<std::function<void(double)>> epilogues_;

@@ -2,17 +2,20 @@
 // Observability lane of the calling thread.
 //
 // The sharded simulation kernel (sim::ShardEngine) runs S event loops on
-// worker threads. Observability sinks that used to assume one writer
-// (counters, histograms, the delta bus, the flight recorder, metrics)
-// become lane-striped: each writer thread appends to its own lane and a
-// deterministic merge folds lanes together at a barrier or at read time.
+// worker threads. Observability sinks those threads write (counters,
+// histograms, metrics, the mutation log) are lane-striped: each writer
+// thread appends to its own lane, and a deterministic merge
+// folds lanes together at the window barrier or at read time. The
+// mutation log (obs::FlightRecorder) is the strict case: worker lanes
+// only append, and the barrier drains them in lane order on the
+// coordinator, so its consumer and rings see one canonical stream.
 //
 // The lane id lives here, below the rest of obs/, so every sink can route
-// on it without depending on the simulator layer. Lane 0 is the legacy
-// single-threaded lane: the coordinator thread and shard 0 both use it
-// (they never run concurrently — workers are parked whenever coordinator
-// code executes), so un-sharded runs never see a lane other than 0 and
-// keep their exact pre-sharding behavior.
+// on it without depending on the simulator layer. Lane 0 is the
+// coordinator's lane: the coordinator thread runs shard 0's windows
+// itself and all control-plane work between windows, so un-sharded runs
+// never see a lane other than 0 and keep their exact pre-sharding
+// behavior.
 
 #include <cstdint>
 

@@ -53,7 +53,7 @@ void Metrics::FoldLanesImpl() noexcept {
     Metrics& lane = *lane_ptr;
     if (lane.total_messages_ == 0 && lane.dropped_loss_ == 0 &&
         lane.dropped_down_ == 0 && lane.rpc_retries_ == 0 &&
-        lane.rpc_timeouts_ == 0 && lane.lookup_hops_.Count() == 0) {
+        lane.rpc_timeouts_ == 0) {
       continue;
     }
     total_messages_ += lane.total_messages_;
@@ -79,7 +79,6 @@ void Metrics::FoldLanesImpl() noexcept {
       into.count += counter.count;
       into.bytes += counter.bytes;
     }
-    lookup_hops_.Merge(lane.lookup_hops_);
     const auto fold_vec = [](std::vector<std::uint64_t>& into,
                              const std::vector<std::uint64_t>& from) {
       if (into.size() < from.size()) into.resize(from.size(), 0);
@@ -185,7 +184,6 @@ void Metrics::RecordRpcTimeout(const Message& request) {
 }
 
 void Metrics::RecordLookupHops(std::size_t hops) {
-  Active().lookup_hops_.Add(static_cast<double>(hops));
   if (lookup_hops_hist_ == nullptr) {
     // Un-sharded only: EnableLanes resolves this pointer eagerly, so the
     // lazy write never races between worker threads.
@@ -294,7 +292,6 @@ void Metrics::Reset() {
   }
   extra_types_.clear();
   registry_.ResetValues();
-  lookup_hops_ = util::RunningStats{};
   received_per_actor_.clear();
   sent_per_actor_.clear();
   received_bytes_per_actor_.clear();
@@ -312,9 +309,10 @@ std::string Metrics::Summary() const {
     out += util::Format("  {:<24} count={:<10} bytes={}\n", type, counter.count,
                        counter.bytes);
   }
-  if (lookup_hops_.Count() > 0) {
+  if (lookup_hops_hist_ != nullptr && lookup_hops_hist_->Count() > 0) {
     out += util::Format("  lookup hops: mean={:.2f} max={:.0f} n={}\n",
-                       lookup_hops_.Mean(), lookup_hops_.Max(), lookup_hops_.Count());
+                       lookup_hops_hist_->Mean(), lookup_hops_hist_->Max(),
+                       lookup_hops_hist_->Count());
   }
   for (const auto& [name, value] : MergedCounters()) {
     out += util::Format("  counter {:<22} {}\n", name, value);

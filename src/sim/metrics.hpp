@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "obs/registry.hpp"
-#include "util/stats.hpp"
 
 namespace peertrack::sim {
 
@@ -74,7 +73,8 @@ class Metrics {
   /// Record one RPC that exhausted its attempts and failed to its caller.
   void RecordRpcTimeout(const Message& request);
 
-  /// Record the hop count of one completed DHT lookup.
+  /// Record the hop count of one completed DHT lookup into the
+  /// `chord.lookup_hops` registry histogram.
   void RecordLookupHops(std::size_t hops);
 
   /// Record a latency sample (simulated ms) into the histogram named
@@ -145,11 +145,6 @@ class Metrics {
   /// Latency histogram named `latency:<name>` (created on first use; same
   /// instrument RecordLatency feeds).
   obs::Histogram& LatencyHistogram(std::string_view name);
-
-  const util::RunningStats& LookupHops() const noexcept {
-    FoldLanes();
-    return lookup_hops_;
-  }
 
   /// Messages received per actor (index = ActorId); shorter than the actor
   /// count if high ids never received traffic.
@@ -230,7 +225,6 @@ class Metrics {
   std::map<std::string, TypeCounter, std::less<>> extra_types_;
   obs::Registry registry_;
   obs::Histogram* lookup_hops_hist_ = nullptr;
-  util::RunningStats lookup_hops_;
   std::vector<std::uint64_t> received_per_actor_;
   std::vector<std::uint64_t> sent_per_actor_;
   std::vector<std::uint64_t> received_bytes_per_actor_;

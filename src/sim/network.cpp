@@ -18,6 +18,7 @@ MsgTypeId AllocateMsgTypeId() noexcept {
 
 Network::Network(Simulator& simulator, LatencyModel& latency, util::Rng& rng)
     : simulator_(simulator), latency_(latency), rng_(rng) {
+  recorder_.BindClock(simulator_.NowPtr());
   delivery_scopes_ =
       std::make_unique<std::atomic<obs::ProfScopeId>[]>(kMaxDeliveryScopes);
   for (std::size_t i = 0; i < kMaxDeliveryScopes; ++i) {
@@ -42,13 +43,12 @@ void Network::EnableSharding(ShardEngine& engine, std::uint64_t seed) {
   }
   const std::size_t lanes = engine.ShardCount();
   metrics_.EnableLanes(lanes);
-  delta_bus_.EnableLanes(lanes);
-  if (recorder_ != nullptr) {
-    recorder_->EnableLanes(lanes);
-    for (std::uint32_t s = 1; s < lanes; ++s) {
-      recorder_->BindLaneClock(s, engine.SimOf(s).NowPtr());
-    }
+  recorder_.EnableLanes(lanes);
+  for (std::uint32_t s = 1; s < lanes; ++s) {
+    recorder_.BindLaneClock(s, engine.SimOf(s).NowPtr());
   }
+  // Worker lanes only append; the barrier drains them on the coordinator.
+  engine.SetBarrierHook([this] { recorder_.FlushAtBarrier(); });
 }
 
 obs::ProfScopeId Network::DeliveryScope(const Message& message) {
@@ -68,14 +68,14 @@ void Network::Deliver(ActorId from, ActorId to,
   Slot& slot = actors_[to];
   if (!slot.up || slot.actor == nullptr) {
     metrics_.RecordDrop(*msg, Metrics::DropReason::kDownActor);
-    if (recorder_ != nullptr && from != to) {
-      recorder_->RecordMessage(obs::RecEvent::kMsgDrop, to, from,
+    if (recorder_.Enabled() && from != to) {
+      recorder_.RecordMessage(obs::RecEvent::kMsgDrop, to, from,
                                msg->TypeId());
     }
     return;
   }
-  if (recorder_ != nullptr && from != to) {
-    recorder_->RecordMessage(obs::RecEvent::kMsgRecv, to, from,
+  if (recorder_.Enabled() && from != to) {
+    recorder_.RecordMessage(obs::RecEvent::kMsgRecv, to, from,
                              msg->TypeId());
   }
   PROF_SCOPE_ID(DeliveryScope(*msg));
@@ -121,15 +121,15 @@ void Network::Send(ActorId from, ActorId to, std::unique_ptr<Message> message) {
       tracer_.RecordMessage(simulator().Now(), from, to, message->TypeName(),
                             bytes, message->trace);
     }
-    if (recorder_ != nullptr) {
-      recorder_->RegisterTypeName(message->TypeId(), message->TypeName());
-      recorder_->RecordMessage(obs::RecEvent::kMsgSend, from, to,
+    if (recorder_.Enabled()) {
+      recorder_.RegisterTypeName(message->TypeId(), message->TypeName());
+      recorder_.RecordMessage(obs::RecEvent::kMsgSend, from, to,
                                message->TypeId());
     }
     if (loss_rate_ > 0.0 && rng.NextBool(loss_rate_)) {
       metrics_.RecordDrop(*message, Metrics::DropReason::kLoss);
-      if (recorder_ != nullptr) {
-        recorder_->RecordMessage(obs::RecEvent::kMsgDrop, to, from,
+      if (recorder_.Enabled()) {
+        recorder_.RecordMessage(obs::RecEvent::kMsgDrop, to, from,
                                  message->TypeId());
       }
       return;  // Lost on the wire; the sender still paid for it.
@@ -151,9 +151,9 @@ void Network::SendInstant(ActorId from, ActorId to, std::unique_ptr<Message> mes
       tracer_.RecordMessage(simulator().Now(), from, to, message->TypeName(),
                             bytes, message->trace);
     }
-    if (recorder_ != nullptr) {
-      recorder_->RegisterTypeName(message->TypeId(), message->TypeName());
-      recorder_->RecordMessage(obs::RecEvent::kMsgSend, from, to,
+    if (recorder_.Enabled()) {
+      recorder_.RegisterTypeName(message->TypeId(), message->TypeName());
+      recorder_.RecordMessage(obs::RecEvent::kMsgSend, from, to,
                                message->TypeId());
     }
     // Instant sends still cross the wire: roll the same loss model as
@@ -161,8 +161,8 @@ void Network::SendInstant(ActorId from, ActorId to, std::unique_ptr<Message> mes
     // reliable under failure injection.)
     if (loss_rate_ > 0.0 && rng.NextBool(loss_rate_)) {
       metrics_.RecordDrop(*message, Metrics::DropReason::kLoss);
-      if (recorder_ != nullptr) {
-        recorder_->RecordMessage(obs::RecEvent::kMsgDrop, to, from,
+      if (recorder_.Enabled()) {
+        recorder_.RecordMessage(obs::RecEvent::kMsgDrop, to, from,
                                  message->TypeId());
       }
       return;
@@ -195,20 +195,6 @@ bool Network::IsUp(ActorId id) const {
 
 void Network::SetLossRate(double probability) {
   loss_rate_ = std::clamp(probability, 0.0, 1.0);
-}
-
-void Network::EnableRecorder(std::size_t events_per_actor) {
-  if (recorder_ != nullptr || events_per_actor == 0) return;
-  recorder_ = std::make_unique<obs::FlightRecorder>(events_per_actor);
-  recorder_->BindClock(simulator_.NowPtr());
-  delta_bus_.AttachRecorder(recorder_.get());
-  if (engine_ != nullptr) {
-    const std::size_t lanes = engine_->ShardCount();
-    recorder_->EnableLanes(lanes);
-    for (std::uint32_t s = 1; s < lanes; ++s) {
-      recorder_->BindLaneClock(s, engine_->SimOf(s).NowPtr());
-    }
-  }
 }
 
 }  // namespace peertrack::sim

@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/delta_bus.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -132,12 +131,12 @@ class Network {
   /// message events while enabled.
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
-  /// Mutation-delta bus for incremental invariant auditing. Protocol
-  /// stores publish here (guarded by Active()); the InvariantMonitor
-  /// claims its staging buffers when running in incremental mode. Inert
-  /// otherwise.
-  obs::StateDeltaBus& delta_bus() noexcept { return delta_bus_; }
-  const obs::StateDeltaBus& delta_bus() const noexcept { return delta_bus_; }
+  /// The mutation log, whether or not it keeps rings. Protocol stores
+  /// publish state deltas here (guarded by Active()); the InvariantMonitor
+  /// takes its consumer claim when running in incremental mode. Inert
+  /// while it has neither a consumer nor rings.
+  obs::FlightRecorder& delta_bus() noexcept { return recorder_; }
+  const obs::FlightRecorder& delta_bus() const noexcept { return recorder_; }
 
   /// The simulator the calling thread should schedule on. Un-sharded this
   /// is *the* simulator; sharded it routes through the engine's TLS — a
@@ -192,8 +191,8 @@ class Network {
   }
 
   /// Attach the sharded engine: per-actor RNG streams are seeded for every
-  /// registered actor (and every future Register), and the metrics, delta
-  /// bus and recorder grow per-lane state for ShardCount() writer threads.
+  /// registered actor (and every future Register), and the metrics and
+  /// mutation log grow per-lane state for ShardCount() writer threads.
   /// Call after actors and observers are set up but before the first run;
   /// idempotent.
   void EnableSharding(ShardEngine& engine, std::uint64_t seed);
@@ -205,17 +204,20 @@ class Network {
   void SetRpcJitterScale(double scale) noexcept { rpc_jitter_scale_ = scale; }
   double rpc_jitter_scale() const noexcept { return rpc_jitter_scale_; }
 
-  /// Turn on black-box flight recording: per-actor rings of
-  /// `events_per_actor` protocol events (message send/recv/drop here, state
-  /// mutations via the delta bus, direct protocol events at their call
-  /// sites). Idempotent; 0 leaves recording off. The recorder is clock-
-  /// bound to this network's simulator and attached to the delta bus.
-  void EnableRecorder(std::size_t events_per_actor);
-  /// The recorder, or nullptr while recording is off. Record call sites
+  /// Turn on black-box flight recording: the mutation log keeps per-actor
+  /// rings of `events_per_actor` protocol events (message send/recv/drop
+  /// here, state mutations as published, direct protocol events at their
+  /// call sites). Idempotent; 0 leaves recording off.
+  void EnableRecorder(std::size_t events_per_actor) {
+    recorder_.SetCapacity(events_per_actor);
+  }
+  /// The mutation log while it keeps rings, else nullptr. Record call sites
   /// guard on the pointer — one predictable branch when disabled.
-  obs::FlightRecorder* recorder() noexcept { return recorder_.get(); }
+  obs::FlightRecorder* recorder() noexcept {
+    return recorder_.Enabled() ? &recorder_ : nullptr;
+  }
   const obs::FlightRecorder* recorder() const noexcept {
-    return recorder_.get();
+    return recorder_.Enabled() ? &recorder_ : nullptr;
   }
 
  private:
@@ -254,8 +256,7 @@ class Network {
   util::Rng& rng_;
   Metrics metrics_;
   obs::Tracer tracer_;
-  obs::StateDeltaBus delta_bus_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
+  obs::FlightRecorder recorder_;
   double loss_rate_ = 0.0;
   std::vector<Slot> actors_;
   /// delivery_scopes_[MsgTypeId] = interned "deliver.<TypeName>" scope

@@ -42,8 +42,8 @@
 //
 // Observability. Around each shard window the engine sets the thread's
 // obs lane (obs/lane.hpp) to the shard id so lane-striped sinks route
-// correctly, and after every barrier it runs an optional hook (the
-// TrackingSystem installs the delta-bus lane merge there).
+// correctly, and after every barrier it runs an optional hook
+// (sim::Network installs its mutation-log flush there).
 
 #include <atomic>
 #include <condition_variable>
@@ -141,7 +141,7 @@ class ShardEngine {
 
   /// Hook run on the coordinator thread after every parallel window's
   /// barrier (before control events or mailbox injection touch the next
-  /// window). The TrackingSystem merges delta-bus lanes here.
+  /// window). sim::Network flushes its mutation log here.
   void SetBarrierHook(util::UniqueFunction<void()> hook) {
     barrier_hook_ = std::move(hook);
   }

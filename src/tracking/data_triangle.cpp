@@ -138,9 +138,9 @@ void TrackerNode::MaybeDelegate(const hash::Prefix& prefix, PrefixBucket& bucket
   // Entry moves publish through the bucket choke points; the delegation
   // marker itself is a shape event on the parent prefix.
   {
-    obs::StateDeltaBus& bus = chord_.network().delta_bus();
-    if (bus.Active()) {
-      bus.Publish(obs::StateDelta::Shape(Self().actor, prefix, false));
+    obs::FlightRecorder& log = chord_.network().delta_bus();
+    if (log.Active()) {
+      log.Publish(obs::StateDelta::Shape(Self().actor, prefix, false));
     }
   }
   if (config_.replicate_index) {

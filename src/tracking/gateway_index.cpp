@@ -52,7 +52,7 @@ std::vector<std::pair<hash::UInt160, ReplicaRecord>> ReplicaStore::ExtractAll() 
   all.reserve(records_.Size());
   for (const auto& [key, record] : records_) {
     all.emplace_back(key, record);
-    PublishTouched(obs::DeltaKind::kReplicaErase, key);
+    PublishTouched(obs::RecEvent::kReplicaErase, key);
   }
   records_.Clear();
   return all;
@@ -72,8 +72,8 @@ void PrefixIndexStore::DropIfEmpty(const hash::Prefix& prefix) {
   const auto it = buckets_.find(prefix);
   if (it != buckets_.end() && it->second.Empty()) {
     buckets_.erase(it);
-    if (bus_ != nullptr && bus_->Active()) {
-      bus_->Publish(obs::StateDelta::Shape(actor_, prefix, false));
+    if (log_ != nullptr && log_->Active()) {
+      log_->Publish(obs::StateDelta::Shape(actor_, prefix, false));
     }
   }
 }

@@ -16,7 +16,7 @@
 #include "chord/types.hpp"
 #include "hash/keyspace.hpp"
 #include "moods/object.hpp"
-#include "obs/delta_bus.hpp"
+#include "obs/flight_recorder.hpp"
 #include "util/flat_hash.hpp"
 
 namespace peertrack::tracking {
@@ -48,8 +48,8 @@ class PrefixBucket {
   }
   void Upsert(const hash::UInt160& object, const IndexEntry& entry) {
     entries_[object] = entry;
-    if (bus_ != nullptr && bus_->Active()) {
-      bus_->Publish(obs::StateDelta::Index(obs::DeltaKind::kIndexUpsert, actor_,
+    if (log_ != nullptr && log_->Active()) {
+      log_->Publish(obs::StateDelta::Index(obs::RecEvent::kIndexUpsert, actor_,
                                            object, individual_, prefix_,
                                            entry.latest_arrived));
     }
@@ -59,9 +59,9 @@ class PrefixBucket {
   /// Bound at bucket creation (PrefixIndexStore::BucketFor / TrackerNode's
   /// individual map), so delegation moves, anti-entropy and corrupting
   /// tests all publish through the same choke point.
-  void Bind(obs::StateDeltaBus* bus, std::uint32_t actor, bool individual,
+  void Bind(obs::FlightRecorder* log, std::uint32_t actor, bool individual,
             const hash::Prefix& prefix) noexcept {
-    bus_ = bus;
+    log_ = log;
     actor_ = actor;
     individual_ = individual;
     prefix_ = prefix;
@@ -83,14 +83,14 @@ class PrefixBucket {
 
  private:
   void PublishErase(const hash::UInt160& object) const {
-    if (bus_ != nullptr && bus_->Active()) {
-      bus_->Publish(obs::StateDelta::Index(obs::DeltaKind::kIndexErase, actor_,
+    if (log_ != nullptr && log_->Active()) {
+      log_->Publish(obs::StateDelta::Index(obs::RecEvent::kIndexErase, actor_,
                                            object, individual_, prefix_));
     }
   }
 
   EntryMap entries_;
-  obs::StateDeltaBus* bus_ = nullptr;
+  obs::FlightRecorder* log_ = nullptr;
   std::uint32_t actor_ = 0xFFFFFFFFu;
   bool individual_ = false;
   hash::Prefix prefix_{};
@@ -133,19 +133,19 @@ class ReplicaStore {
     } else {
       records_[object] = record;
     }
-    PublishTouched(obs::DeltaKind::kReplicaUpsert, object,
+    PublishTouched(obs::RecEvent::kReplicaUpsert, object,
                    record.entry.latest_arrived);
     return true;
   }
   bool Remove(const hash::UInt160& object) {
     if (!records_.Erase(object)) return false;
-    PublishTouched(obs::DeltaKind::kReplicaErase, object);
+    PublishTouched(obs::RecEvent::kReplicaErase, object);
     return true;
   }
 
   /// Publish kReplica* deltas for every record mutation.
-  void Bind(obs::StateDeltaBus* bus, std::uint32_t actor) noexcept {
-    bus_ = bus;
+  void Bind(obs::FlightRecorder* log, std::uint32_t actor) noexcept {
+    log_ = log;
     actor_ = actor;
   }
 
@@ -157,15 +157,15 @@ class ReplicaStore {
   std::vector<std::pair<hash::UInt160, ReplicaRecord>> ExtractAll();
 
  private:
-  void PublishTouched(obs::DeltaKind kind, const hash::UInt160& object,
+  void PublishTouched(obs::RecEvent kind, const hash::UInt160& object,
                       double when = -1.0) const {
-    if (bus_ != nullptr && bus_->Active()) {
-      bus_->Publish(obs::StateDelta::Object(kind, actor_, object, when));
+    if (log_ != nullptr && log_->Active()) {
+      log_->Publish(obs::StateDelta::Object(kind, actor_, object, when));
     }
   }
 
   RecordMap records_;
-  obs::StateDeltaBus* bus_ = nullptr;
+  obs::FlightRecorder* log_ = nullptr;
   std::uint32_t actor_ = 0xFFFFFFFFu;
 };
 
@@ -173,26 +173,26 @@ class ReplicaStore {
 class PrefixIndexStore {
  public:
   /// Bucket for `prefix`, created on demand. A freshly-created bucket is
-  /// bound to the store's delta bus and its creation publishes a
+  /// bound to the store's mutation log and its creation publishes a
   /// kPrefixShape delta (the shape check judges bucket placement).
   PrefixBucket& BucketFor(const hash::Prefix& prefix) {
     const auto [it, created] = buckets_.try_emplace(prefix);
     if (created) {
-      it->second.Bind(bus_, actor_, /*individual=*/false, prefix);
-      if (bus_ != nullptr && bus_->Active()) {
-        bus_->Publish(obs::StateDelta::Shape(actor_, prefix, false));
+      it->second.Bind(log_, actor_, /*individual=*/false, prefix);
+      if (log_ != nullptr && log_->Active()) {
+        log_->Publish(obs::StateDelta::Shape(actor_, prefix, false));
       }
     }
     return it->second;
   }
 
-  /// Publish shape deltas and bind future buckets to `bus`. Existing
+  /// Publish shape deltas and bind future buckets to `log`. Existing
   /// buckets are re-bound too (the store may pre-date the binding).
-  void Bind(obs::StateDeltaBus* bus, std::uint32_t actor) noexcept {
-    bus_ = bus;
+  void Bind(obs::FlightRecorder* log, std::uint32_t actor) noexcept {
+    log_ = log;
     actor_ = actor;
     for (auto& [prefix, bucket] : buckets_) {
-      bucket.Bind(bus, actor, /*individual=*/false, prefix);
+      bucket.Bind(log, actor, /*individual=*/false, prefix);
     }
   }
 
@@ -212,7 +212,7 @@ class PrefixIndexStore {
 
  private:
   std::map<hash::Prefix, PrefixBucket> buckets_;
-  obs::StateDeltaBus* bus_ = nullptr;
+  obs::FlightRecorder* log_ = nullptr;
   std::uint32_t actor_ = 0xFFFFFFFFu;
 };
 

@@ -40,12 +40,12 @@ TrackerNode::TrackerNode(chord::ChordNode& chord, PeerDirectory& peers,
   server_.Bind(Self().actor);
   flood_.SetRetryPolicy(config_.rpc);
   // Route every store mutation — protocol paths and test corruption alike —
-  // onto the mutation-delta bus for incremental invariant auditing.
-  obs::StateDeltaBus* bus = &chord_.network().delta_bus();
-  iop_.Bind(bus, Self().actor);
-  individual_.Bind(bus, Self().actor, /*individual=*/true, hash::Prefix{});
-  replica_.Bind(bus, Self().actor);
-  store_.Bind(bus, Self().actor);
+  // onto the mutation log for incremental invariant auditing.
+  obs::FlightRecorder* log = &chord_.network().delta_bus();
+  iop_.Bind(log, Self().actor);
+  individual_.Bind(log, Self().actor, /*individual=*/true, hash::Prefix{});
+  replica_.Bind(log, Self().actor);
+  store_.Bind(log, Self().actor);
   RegisterHandlers();
 }
 

@@ -307,12 +307,12 @@ class TrackerNode final : public chord::ChordNode::AppHandler {
   void ScheduleAntiEntropy();
   void RunAntiEntropy();
   void FinishLeave();
-  /// Announce graceful-handoff completion on the mutation-delta bus: the
+  /// Announce graceful-handoff completion on the mutation log: the
   /// handoff.complete check only has work to do once some node departed.
   void PublishHandoffFinished() const {
-    obs::StateDeltaBus& bus = chord_.network().delta_bus();
-    if (bus.Active()) {
-      bus.Publish(obs::StateDelta::Ring(obs::DeltaKind::kHandoffFinished,
+    obs::FlightRecorder& log = chord_.network().delta_bus();
+    if (log.Active()) {
+      log.Publish(obs::StateDelta::Ring(obs::RecEvent::kHandoffFinished,
                                         Self().actor));
     }
   }

@@ -17,8 +17,6 @@ TrackingSystem::TrackingSystem(std::size_t nodes, SystemConfig config)
     engine_ = std::make_unique<sim::ShardEngine>(simulator_, config_.shards,
                                                  latency_->Floor());
     network_->EnableSharding(*engine_, config_.seed);
-    engine_->SetBarrierHook(
-        [this] { network_->delta_bus().MergeStagedLanes(); });
   }
   network_->SetRpcJitterScale(config_.rpc_jitter_scale);
   chord::ChordRing::Options ring_options;
@@ -64,9 +62,9 @@ void TrackingSystem::CaptureAt(std::size_t node_index, const hash::UInt160& obje
 
 void TrackingSystem::PublishObjectTruth(const hash::UInt160& object,
                                         moods::Time at) {
-  obs::StateDeltaBus& bus = network_->delta_bus();
-  if (bus.Active()) {
-    bus.Publish(obs::StateDelta::Object(obs::DeltaKind::kObjectTruth,
+  obs::FlightRecorder& log = network_->delta_bus();
+  if (log.Active()) {
+    log.Publish(obs::StateDelta::Object(obs::RecEvent::kObjectTruth,
                                         0xFFFFFFFFu, object, at));
   }
 }
@@ -194,9 +192,9 @@ unsigned TrackingSystem::RecomputePrefixLength() {
                                          config_.tracker.lmin);
   if (fresh != global_lp_.lp) {
     global_lp_.lp = fresh;
-    obs::StateDeltaBus& bus = network_->delta_bus();
-    if (bus.Active()) {
-      bus.Publish(obs::StateDelta::Global(obs::DeltaKind::kLpChange));
+    obs::FlightRecorder& log = network_->delta_bus();
+    if (log.Active()) {
+      log.Publish(obs::StateDelta::Global(obs::RecEvent::kLpChange));
     }
     for (auto& tracker : trackers_) {
       if (tracker->chord().Alive()) tracker->OnPrefixLengthChanged(fresh);

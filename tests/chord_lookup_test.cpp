@@ -146,7 +146,8 @@ TEST(ChordLookup, HopMetricsRecorded) {
     ring.Node(0).Lookup(RandomKey(keys), [](const NodeRef&, std::size_t) {});
     sim.Run();
   }
-  EXPECT_EQ(net.metrics().LookupHops().Count(), 10u);
+  EXPECT_EQ(net.metrics().registry().GetHistogram("chord.lookup_hops").Count(),
+            10u);
 }
 
 }  // namespace

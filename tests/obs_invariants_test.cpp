@@ -466,13 +466,13 @@ TEST(TrackingChecks, StaleGatewayEntryFiresThenHeals) {
 
 TEST(InvariantMonitor, SecondConsumerOfClaimedBusStaysOnFullScans) {
   IndividualFixture f;
-  StateDeltaBus& bus = f.system.network().delta_bus();
+  FlightRecorder& bus = f.system.network().delta_bus();
   Registry first_registry;
   Registry second_registry;
   InvariantMonitor first(f.system.simulator(), first_registry);
   InvariantMonitor second(f.system.simulator(), second_registry);
   first.EnableIncremental(bus);
-  second.EnableIncremental(bus);  // The bus has one consumer: refused.
+  second.EnableIncremental(bus);  // The log has one consumer: refused.
   EXPECT_TRUE(first.IncrementalEnabled());
   EXPECT_FALSE(second.IncrementalEnabled());
   InstallTrackingChecks(first, f.system, {.staleness_ms = 100.0});

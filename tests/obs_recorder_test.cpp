@@ -41,7 +41,7 @@ TEST(FlightRecorder, WrapsAtCapacityKeepingTheNewestEvents) {
     EXPECT_EQ(window[i].seq, 7u + i);
     EXPECT_DOUBLE_EQ(window[i].when, static_cast<double>(6 + i) * 10.0);
     EXPECT_EQ(window[i].actor, 7u);
-    EXPECT_EQ(window[i].peer, 8u);
+    EXPECT_EQ(window[i].msg.peer, 8u);
     EXPECT_EQ(window[i].event, RecEvent::kMsgSend);
   }
 }
@@ -73,8 +73,9 @@ TEST(FlightRecorder, CollectCapturesUnderWrapAndMergesInTimeOrder) {
     recorder.RecordMessage(RecEvent::kMsgSend, 1, 2, 0);
   }
   now = 102.5;  // Interleaves between actor 1's retained events.
-  recorder.RecordState(/*kind=*/5, /*actor=*/2, object, /*has_object=*/true,
-                       /*arg=*/90.0);
+  recorder.Publish(StateDelta::Index(RecEvent::kIndexUpsert, /*actor=*/2,
+                                     object, /*individual=*/false,
+                                     hash::Prefix{}, /*when=*/90.0));
 
   ForensicTrigger trigger;
   trigger.check = "test.check";
@@ -106,7 +107,7 @@ TEST(FlightRecorder, ZeroCapacityDisablesEverything) {
   FlightRecorder recorder(/*events_per_actor=*/0);
   EXPECT_FALSE(recorder.Enabled());
   recorder.RecordMessage(RecEvent::kMsgSend, 1, 2, 3);
-  recorder.RecordState(5, 1, Key(1), true, 0.0);
+  recorder.Publish(StateDelta::Object(RecEvent::kIndexUpsert, 1, Key(1), 0.0));
   recorder.RecordProtocol(RecEvent::kRpcRetry, 1, 2, {}, false);
   EXPECT_EQ(recorder.EventsRecorded(), 0u);
   EXPECT_EQ(recorder.ActorRings(), 0u);

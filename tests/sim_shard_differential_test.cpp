@@ -12,10 +12,12 @@
 // The scenario is the churn-soak schedule (protocol joins, crashes,
 // graceful leaves, captures, live trace/locate queries) with an
 // incremental invariant monitor riding along on the control plane — so a
-// pass also certifies the observability lanes: per-shard delta buses
-// merged at window barriers feed the monitor the same backlog the inline
+// pass also certifies the observability lanes: per-shard mutation-log
+// lanes drained at window barriers feed the monitor the same backlog the
 // single-threaded publish path does (zero cross-check misses), and the
 // run self-heals (zero open violations at quiesce) at every shard count.
+// A second suite checks that the log's per-actor rings come out identical
+// across repeated sharded runs of one seed.
 //
 // Determinism preconditions baked into the config (see DESIGN.md §13):
 //   * constant latency + zero loss + rpc_jitter_scale = 0: no rng draws in
@@ -36,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/invariants.hpp"
 #include "tracking/tracking_system.hpp"
 #include "util/format.hpp"
@@ -279,6 +282,73 @@ TEST_P(ShardDifferential, AllShardCountsMatchTheSingleThreadedOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardDifferential,
                          ::testing::Values(11ull, 23ull, 47ull));
+
+/// Every retained record of every ring (each actor's, then the world
+/// ring's) after a lossy sharded run, one line per record.
+std::vector<std::string> RecordedWindows(std::uint64_t seed,
+                                         std::size_t shards) {
+  tracking::SystemConfig config;
+  config.tracker.mode = tracking::IndexingMode::kGroup;
+  config.tracker.window.tmax_ms = 100.0;
+  config.tracker.replicate_index = true;
+  config.tracker.query_timeout_ms = 5000.0;
+  config.tracker.delegation_threshold = std::numeric_limits<std::size_t>::max();
+  config.stabilize_every_ms = 100.0;
+  config.fix_fingers_every_ms = 10.0;
+  config.seed = seed;
+  config.shards = shards;
+  config.rpc_jitter_scale = 0.0;
+  tracking::TrackingSystem system(16, std::move(config));
+  // Small rings wrap many times, so retention depends on the order lanes
+  // reach each ring — including cross-lane drop records under loss.
+  system.network().EnableRecorder(/*events_per_actor=*/32);
+  system.network().SetLossRate(0.05);
+
+  util::Rng rng(seed * 31 + 7);
+  std::vector<hash::UInt160> objects;
+  for (int i = 0; i < 24; ++i) objects.push_back(Obj(seed, i));
+  for (int round = 0; round < 6; ++round) {
+    for (const hash::UInt160& object : objects) {
+      system.CaptureAt(rng.Next() % 16, object,
+                       system.simulator().Now() + 10.0 + round);
+    }
+    system.TraceQuery(rng.Next() % 16, objects[rng.Next() % objects.size()],
+                      [](tracking::TrackerNode::TraceResult) {});
+    system.RunUntil(system.simulator().Now() + 1500.0);
+  }
+  system.RunUntil(system.simulator().Now() + 8000.0);
+
+  obs::FlightRecorder& recorder = *system.network().recorder();
+  std::vector<std::string> out;
+  const auto dump = [&](std::uint32_t actor) {
+    for (const obs::RecordedEvent& e : recorder.Window(actor)) {
+      const obs::RecordedEvent::Counterpart to =
+          obs::IsStateEvent(e.event) ? obs::RecordedEvent::Counterpart{}
+                                     : e.msg;
+      out.push_back(util::Format(
+          "ring={} seq={} when={:.3f} event={} actor={} obj={} arg={:.3f} "
+          "peer={} type={}",
+          actor, e.seq, e.when, obs::RecEventName(e.event), e.actor,
+          e.has_object ? e.object.ToShortHex() : std::string("-"), e.arg,
+          to.peer, to.type));
+    }
+  };
+  for (std::uint32_t actor = 0; actor < system.network().ActorCount();
+       ++actor) {
+    dump(actor);
+  }
+  dump(obs::FlightRecorder::kWorldActor);
+  EXPECT_GT(system.metrics().DroppedByLoss(), 0u);
+  return out;
+}
+
+TEST(ShardRecorder, RingsAreIdenticalAcrossRunsOfOneSeed) {
+  const auto first = RecordedWindows(/*seed=*/19, /*shards=*/4);
+  EXPECT_FALSE(first.empty());
+  const auto second = RecordedWindows(/*seed=*/19, /*shards=*/4);
+  EXPECT_EQ(first, second)
+      << "recorder rings differ between two 4-shard runs of one seed";
+}
 
 }  // namespace
 }  // namespace peertrack::sim
