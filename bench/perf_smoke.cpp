@@ -7,13 +7,9 @@
 // push and uploads BENCH.json as an artifact, so the performance trajectory
 // of the simulator kernel is recorded PR over PR.
 //
-// Usage:
-//   perf_smoke [--nodes=256] [--objects=512000] [--queries=100]
-//              [--seed=0xBE9C5] [--repeat=1] [--out=BENCH.json]
-//              [--invariant-mode=off|full|incremental]
-//              [--invariant-period=5000] [--full-sweep-every=10]
-//              [--replicate=1] [--profile=1] [--flame=PATH]
-//              [--recorder-events=256] [--forensics=DIR] [--shards=1]
+// Usage: `perf_smoke --help` prints the flags (kUsage below) and exits 0;
+// an unknown flag or a positional argument exits 2 before anything runs or
+// BENCH.json is written.
 //
 // Sharded kernel (--shards=N, default 1): the primary numbers always come
 // from the legacy single-threaded kernel (so the BENCH.json throughput
@@ -77,7 +73,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -93,6 +91,25 @@ namespace {
 using peertrack::workload::InvariantMode;
 using peertrack::workload::PerfSmokeParams;
 using peertrack::workload::PerfSmokeReport;
+
+constexpr const char* kUsage =
+    "usage: perf_smoke [--nodes=256] [--objects=512000] [--queries=100]\n"
+    "                  [--seed=0xBE9C5] [--repeat=1] [--out=BENCH.json]\n"
+    "                  [--invariant-mode=off|full|incremental]\n"
+    "                  [--invariant-period=5000] [--full-sweep-every=10]\n"
+    "                  [--replicate=1] [--profile=1] [--flame=PATH]\n"
+    "                  [--recorder-events=256] [--forensics=DIR] [--shards=1]\n"
+    "                  [--help]\n";
+
+/// Every flag main() reads; `invariants` is the legacy spelling of
+/// --invariant-mode=full.
+constexpr std::string_view kKnownFlags[] = {
+    "nodes",     "objects",         "queries",          "seed",
+    "repeat",    "out",             "invariant-mode",   "invariant-period",
+    "full-sweep-every",             "replicate",        "profile",
+    "flame",     "recorder-events", "forensics",        "shards",
+    "invariants",
+};
 
 double PerSec(std::uint64_t count, double wall_ms) {
   return wall_ms > 0.0 ? static_cast<double>(count) * 1000.0 / wall_ms : 0.0;
@@ -284,6 +301,23 @@ std::string ReportJson(const PerfSmokeParams& params, const PerfSmokeReport& rep
 
 int main(int argc, char** argv) {
   const auto config = peertrack::util::Config::FromArgs(argc, argv);
+  if (config.Has("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  for (const std::string& key : config.Keys()) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) ==
+        std::end(kKnownFlags)) {
+      std::fprintf(stderr, "perf_smoke: unknown flag --%s\n%s", key.c_str(),
+                   kUsage);
+      return 2;
+    }
+  }
+  if (!config.Positional().empty()) {
+    std::fprintf(stderr, "perf_smoke: unexpected argument %s\n%s",
+                 config.Positional().front().c_str(), kUsage);
+    return 2;
+  }
   PerfSmokeParams params;
   params.nodes = static_cast<std::size_t>(config.GetUInt("nodes", params.nodes));
   params.objects = static_cast<std::size_t>(config.GetUInt("objects", params.objects));

@@ -46,21 +46,43 @@ thread_local MessagePoolStats tls_stats;
 
 #if !defined(PEERTRACK_MESSAGE_POOL_DISABLED)
 
-/// Process-global slab ownership (see header). Append-only under a mutex;
-/// taken once per slab carve, not per allocation.
-std::vector<std::unique_ptr<std::byte[]>>& SlabRegistry(std::mutex*& mutex_out) {
-  static std::mutex mutex;
-  static std::vector<std::unique_ptr<std::byte[]>> slabs;
-  mutex_out = &mutex;
-  return slabs;
-}
-
 struct FreeNode {
   FreeNode* next;
 };
 
+/// Process-global pool state (see header), all guarded by `mutex` and
+/// touched only on a freelist miss or at thread exit, never per
+/// allocation. `slabs` owns every slab until process exit; `orphans` holds
+/// the freelists of exited threads, one chain per size class.
+struct GlobalPool {
+  std::mutex mutex;
+  std::vector<std::unique_ptr<std::byte[]>> slabs;
+  FreeNode* orphans[kClassCount] = {};
+};
+
+GlobalPool& Global() {
+  static GlobalPool pool;
+  return pool;
+}
+
 struct ThreadCache {
   FreeNode* freelists[kClassCount] = {};
+
+  /// Hand this thread's free blocks to the orphan lists so the next thread
+  /// that misses adopts them instead of carving fresh slabs.
+  ~ThreadCache() {
+    GlobalPool& pool = Global();
+    const std::lock_guard<std::mutex> lock(pool.mutex);
+    for (std::size_t c = 0; c < kClassCount; ++c) {
+      FreeNode* head = freelists[c];
+      if (head == nullptr) continue;
+      FreeNode* tail = head;
+      while (tail->next != nullptr) tail = tail->next;
+      tail->next = pool.orphans[c];
+      pool.orphans[c] = head;
+      freelists[c] = nullptr;
+    }
+  }
 };
 
 thread_local ThreadCache tls_cache;
@@ -73,6 +95,18 @@ std::size_t ClassBlockSize(std::size_t class_index) noexcept {
   return kHeaderSize + (class_index + 1) * kClassGranularity;
 }
 
+/// Move the orphan chain of `class_index`, if an exited thread left one,
+/// onto the calling thread's (empty) freelist.
+bool AdoptOrphans(std::size_t class_index) {
+  GlobalPool& pool = Global();
+  const std::lock_guard<std::mutex> lock(pool.mutex);
+  FreeNode*& orphans = pool.orphans[class_index];
+  if (orphans == nullptr) return false;
+  tls_cache.freelists[class_index] = orphans;
+  orphans = nullptr;
+  return true;
+}
+
 /// Carve one slab for `class_index` and thread its blocks onto the calling
 /// thread's freelist.
 void CarveSlab(std::size_t class_index) {
@@ -81,10 +115,9 @@ void CarveSlab(std::size_t class_index) {
   auto slab = std::make_unique<std::byte[]>(bytes);
   std::byte* base = slab.get();
   {
-    std::mutex* mutex = nullptr;
-    auto& registry = SlabRegistry(mutex);
-    const std::lock_guard<std::mutex> lock(*mutex);
-    registry.push_back(std::move(slab));
+    GlobalPool& pool = Global();
+    const std::lock_guard<std::mutex> lock(pool.mutex);
+    pool.slabs.push_back(std::move(slab));
   }
   FreeNode*& head = tls_cache.freelists[class_index];
   for (std::size_t i = 0; i < kSlabObjects; ++i) {
@@ -130,7 +163,7 @@ void* MessagePool::Allocate(std::size_t size) {
   if (size > kMaxPooledSize) return UnpooledAllocate(size);
   const std::size_t class_index = ClassIndexFor(size);
   FreeNode*& head = tls_cache.freelists[class_index];
-  if (head != nullptr) {
+  if (head != nullptr || AdoptOrphans(class_index)) {
     ++tls_stats.reused;
   } else {
     CarveSlab(class_index);

@@ -18,11 +18,17 @@
 //    class, so operator delete needs no size information and stays correct
 //    for polymorphic deletes through the Message base pointer.
 //  * Slab memory is owned by a process-global registry (freed at process
-//    exit), never by the thread that carved it. Simulators are
-//    single-threaded, but bench sweeps run many simulators on a thread
-//    pool; global slab ownership makes a message freed on a different
-//    thread than it was allocated on (or after the allocating thread
-//    exited) safe — the pointer simply joins the freeing thread's list.
+//    exit), never by the thread that carved it. Bench sweeps run many
+//    simulators on a thread pool, and the sharded kernel hands a shard's
+//    window to whichever thread runs it; global slab ownership makes a
+//    message freed on a different thread than it was allocated on (or
+//    after the allocating thread exited) safe — the pointer joins the
+//    freeing thread's list.
+//  * A thread's freelists outlive it: at thread exit they are spliced
+//    onto a mutex-guarded global orphan list per size class, and a thread
+//    whose freelist runs empty adopts that class's orphans before it
+//    carves a new slab. Without this, every block on an exited worker's
+//    lists (ShardEngine workers exit with each engine) would be lost.
 //  * Under AddressSanitizer the pool is compiled out (plain new/delete):
 //    recycling memory through freelists would mask use-after-free and
 //    leak diagnostics, which is exactly what the sanitizer legs exist to

@@ -143,21 +143,37 @@ void ShardEngine::RunShardWindow(std::uint32_t shard) {
 }
 
 void ShardEngine::RunWindowParallel(Time w_end, bool inclusive) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    window_end_ = w_end;
-    window_inclusive_ = inclusive;
-    parallel_.store(true, std::memory_order_relaxed);
-    pending_ = static_cast<std::uint32_t>(shards_.size() - 1);
-    ++epoch_;
+  std::uint32_t busy = 0;
+  std::uint32_t lone = 0;
+  for (std::uint32_t s = 0; s < shards_.size() && busy < 2; ++s) {
+    const Time next = shards_[s]->NextEventTime();
+    if (inclusive ? next <= w_end : next < w_end) {
+      ++busy;
+      lone = s;
+    }
   }
-  cv_work_.notify_all();
-  RunShardWindow(0);  // the coordinator thread doubles as shard 0's worker
-  {
+  // Workers are parked: their last window's accesses happened before the
+  // barrier this thread passed, and the epoch bump below publishes these
+  // writes to them.
+  window_end_ = w_end;
+  window_inclusive_ = inclusive;
+  parallel_.store(true, std::memory_order_relaxed);
+  if (busy < 2) {
+    // Every other shard's window is empty: run the busy one here rather
+    // than pay a worker wake-up and barrier for it.
+    RunShardWindow(lone);
+  } else {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      pending_ = static_cast<std::uint32_t>(shards_.size() - 1);
+      ++epoch_;
+    }
+    cv_work_.notify_all();
+    RunShardWindow(0);  // the coordinator thread doubles as shard 0's worker
     std::unique_lock<std::mutex> lk(m_);
     cv_done_.wait(lk, [this] { return pending_ == 0; });
-    parallel_.store(false, std::memory_order_relaxed);
   }
+  parallel_.store(false, std::memory_order_relaxed);
   ++windows_;
   if (barrier_hook_) barrier_hook_();
 }

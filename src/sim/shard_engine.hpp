@@ -3,9 +3,9 @@
 //
 // Actors are partitioned into S shards (splitmix hash of the actor id, with
 // explicit pin overrides for tests and colocation). Each shard owns its own
-// Simulator — its own EventQueue, clock, and processed-event counter — and
-// executes on a dedicated thread: shards 1..S-1 on persistent workers,
-// shard 0 on the coordinator thread itself, so S=2 costs one extra thread.
+// Simulator — its own EventQueue, clock, and processed-event counter.
+// Shards 1..S-1 have persistent workers and shard 0 runs on the
+// coordinator thread itself, so S=2 costs one extra thread.
 //
 // Synchronization is conservative (no rollback). The engine repeatedly:
 //   1. computes the global next-event time t across all shard queues and
@@ -14,7 +14,10 @@
 //      w_end = min(t + lookahead, next control event, caller bound),
 //      where `lookahead` is the LatencyModel's latency floor,
 //   3. lets every shard run its events with time < w_end in parallel
-//      (an event at exactly w_end belongs to the next window),
+//      (an event at exactly w_end belongs to the next window); when at
+//      most one shard has an event due, the coordinator runs that shard's
+//      window itself and wakes no worker (query walks are long chains of
+//      such one-event windows),
 //   4. joins at a barrier, then deterministically drains the cross-shard
 //      mailboxes into the destination queues.
 //
@@ -34,11 +37,15 @@
 // "scan sees a globally consistent cut at time T".
 //
 // Determinism. Windows depend only on event timestamps, never on thread
-// timing. Mailboxes are drained in (deliver_time, source shard, send
-// order) order, so destination queues receive identical sequence numbers
-// run after run. Every shard executes an identical event stream for a
-// given seed and shard count; the final state digest matches the
-// single-threaded oracle for any S (see tests/sim_shard_differential_test).
+// timing, and which thread runs a shard's window changes nothing the shard
+// computes: it runs the same events under the same shard context (tls_,
+// obs lane, cross-shard staging), and the window is counted and followed
+// by the barrier hook either way. Mailboxes are drained in (deliver_time,
+// source shard, send order) order, so destination queues receive identical
+// sequence numbers run after run. Every shard executes an identical event
+// stream for a given seed and shard count; the final state digest matches
+// the single-threaded oracle for any S (see
+// tests/sim_shard_differential_test).
 //
 // Observability. Around each shard window the engine sets the thread's
 // obs lane (obs/lane.hpp) to the shard id so lane-striped sinks route
@@ -96,8 +103,9 @@ class ShardEngine {
   /// Shard of the calling thread, kCoordinator outside windows.
   std::uint32_t CurrentShard() const noexcept { return tls_.shard; }
 
-  /// True while shard windows are executing on worker threads. Cross-actor
-  /// direct calls are only safe when this is false.
+  /// True while a shard window is executing (on workers or, for a lone
+  /// busy shard, inline on the coordinator). Cross-actor direct calls are
+  /// only safe when this is false.
   bool InParallelSection() const noexcept {
     return parallel_.load(std::memory_order_relaxed);
   }
@@ -176,15 +184,17 @@ class ShardEngine {
   // during a window, drained by the coordinator between windows.
   std::vector<std::vector<Staged>> mail_;
 
-  // Window barrier state (guarded by m_ unless noted).
+  // Window barrier state (guarded by m_).
   std::mutex m_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::uint64_t epoch_ = 0;
   std::uint32_t pending_ = 0;
+  bool quit_ = false;
+  // Written by the coordinator between windows, read during one; the
+  // epoch handshake orders the two.
   Time window_end_ = 0.0;
   bool window_inclusive_ = false;
-  bool quit_ = false;
   std::atomic<bool> parallel_{false};
 
   std::uint64_t windows_ = 0;

@@ -1,11 +1,13 @@
 // Conservative-window semantics of the sharded kernel, pinned at the
 // sim::ShardEngine level (no protocol stack on top): lookahead deferral of
 // below-floor cross-shard sends, exact window-boundary ownership, the
-// control-before-shard tie rule, and liveness with empty shards.
+// control-before-shard tie rule, liveness with empty shards, and which
+// thread runs a window's shards.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/shard_engine.hpp"
@@ -126,6 +128,51 @@ TEST(ShardWindow, PinActorOverridesTheHashAssignment) {
   }
   engine.PinActor(7, 2);
   EXPECT_EQ(engine.ShardOf(7), 2u);
+}
+
+struct WindowRun {
+  std::thread::id shard1_thread;
+  std::uint32_t shard1_current = ShardEngine::kCoordinator;
+  std::uint64_t windows = 0;
+  int hook_calls = 0;
+};
+
+// One event at t=10 on shard 1, plus one on shard 0 when `both_busy`:
+// either way a single window [10, 15) runs.
+WindowRun RunOneWindow(bool both_busy) {
+  Simulator root;
+  ShardEngine engine(root, 2, kFloor);
+  WindowRun run;
+  engine.SetBarrierHook([&] { ++run.hook_calls; });
+  engine.SimOf(1).ScheduleAt(10.0, [&] {
+    run.shard1_thread = std::this_thread::get_id();
+    run.shard1_current = engine.CurrentShard();
+  });
+  if (both_busy) root.ScheduleAt(10.0, [] {});
+  engine.Run();
+  run.windows = engine.WindowsExecuted();
+  return run;
+}
+
+TEST(ShardWindow, LoneBusyShardRunsOnTheCallingThread) {
+  const WindowRun run = RunOneWindow(/*both_busy=*/false);
+  EXPECT_EQ(run.shard1_thread, std::this_thread::get_id());
+  EXPECT_EQ(run.shard1_current, 1u);
+}
+
+TEST(ShardWindow, TwoBusyShardsRunShardOneOnAWorker) {
+  const WindowRun run = RunOneWindow(/*both_busy=*/true);
+  EXPECT_NE(run.shard1_thread, std::this_thread::get_id());
+  EXPECT_EQ(run.shard1_current, 1u);
+}
+
+TEST(ShardWindow, InlineAndParallelWindowsCountAlike) {
+  const WindowRun lone = RunOneWindow(/*both_busy=*/false);
+  const WindowRun both = RunOneWindow(/*both_busy=*/true);
+  EXPECT_EQ(lone.windows, 1u);
+  EXPECT_EQ(lone.windows, both.windows);
+  EXPECT_EQ(lone.hook_calls, 1);
+  EXPECT_EQ(lone.hook_calls, both.hook_calls);
 }
 
 }  // namespace
